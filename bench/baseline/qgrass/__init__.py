@@ -1,0 +1,147 @@
+"""qgrass: exact census of quiver Grassmannians over finite fields.
+
+The library enumerates all subrepresentation points of a quiver
+representation over F_q, computes dim Hom(N, M/N) and dim Ext^1(N, M/N) at
+every point, locates regular modules inside their tubes, and cross-checks
+the combinatorial transverse locus against the homological one.
+"""
+
+__version__ = "0.1.0"
+
+from .builtin import builtin_names, emit_builtin
+from .census import (
+    CensusEntry,
+    CensusReport,
+    CountingPolynomial,
+    SubrepPoint,
+    all_dim_vectors,
+    brute_force_subreps,
+    census,
+    counting_polynomial,
+    enumerate_subreps,
+    tangent_dim,
+    transverse_homological,
+)
+from .documents import (
+    document_digest,
+    parse_document,
+    parse_input,
+    representation_document,
+)
+from .errors import (
+    AmbiguousQuasiSocleError,
+    CountNotPolynomialError,
+    InputError,
+    InternalCheckError,
+    NotOnRayError,
+    NotRegularError,
+    QGrassError,
+    RayAmbiguityError,
+    RigidRegularError,
+)
+from .fields import QQ, Field
+from .linalg import (
+    Matrix,
+    SubspaceBasis,
+    enumerate_subspaces,
+    gaussian_binomial,
+    kernel_basis,
+    rref,
+    solve_membership,
+    subspace_contains,
+)
+from .quiver import (
+    Arrow,
+    EulerData,
+    Quiver,
+    compute_euler_data,
+    coxeter_apply,
+    defect,
+    euler_form,
+)
+from .reps import (
+    HomExtResult,
+    Representation,
+    direct_sum,
+    hom_ext,
+    is_rigid,
+    is_subrep,
+    rational_matrix,
+    reduce_mod_p,
+    sub_quotient,
+)
+from .tubes import (
+    CombinatorialTransverse,
+    FieldComparison,
+    TransverseComparison,
+    TubeData,
+    canonical_ray_submodule,
+    compare_transverse_loci,
+    quasi_socle,
+    transverse_combinatorial,
+    tube_coordinates,
+)
+
+__all__ = [
+    "AmbiguousQuasiSocleError",
+    "Arrow",
+    "CensusEntry",
+    "CensusReport",
+    "CombinatorialTransverse",
+    "CountNotPolynomialError",
+    "CountingPolynomial",
+    "EulerData",
+    "Field",
+    "FieldComparison",
+    "HomExtResult",
+    "InputError",
+    "InternalCheckError",
+    "Matrix",
+    "NotOnRayError",
+    "NotRegularError",
+    "QGrassError",
+    "QQ",
+    "Quiver",
+    "RayAmbiguityError",
+    "Representation",
+    "RigidRegularError",
+    "SubrepPoint",
+    "SubspaceBasis",
+    "TransverseComparison",
+    "TubeData",
+    "all_dim_vectors",
+    "brute_force_subreps",
+    "builtin_names",
+    "canonical_ray_submodule",
+    "census",
+    "compare_transverse_loci",
+    "compute_euler_data",
+    "counting_polynomial",
+    "coxeter_apply",
+    "defect",
+    "direct_sum",
+    "document_digest",
+    "emit_builtin",
+    "enumerate_subreps",
+    "enumerate_subspaces",
+    "euler_form",
+    "gaussian_binomial",
+    "hom_ext",
+    "is_rigid",
+    "is_subrep",
+    "kernel_basis",
+    "parse_document",
+    "parse_input",
+    "quasi_socle",
+    "rational_matrix",
+    "reduce_mod_p",
+    "representation_document",
+    "rref",
+    "solve_membership",
+    "sub_quotient",
+    "subspace_contains",
+    "tangent_dim",
+    "transverse_combinatorial",
+    "transverse_homological",
+    "tube_coordinates",
+]

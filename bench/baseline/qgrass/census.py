@@ -1,0 +1,326 @@
+"""Exhaustive census of quiver Grassmannians over a finite field.
+
+For a representation M over F_q and a dimension vector e, the points of the
+quiver Grassmannian are the tuples of subspaces (V_i), dim V_i = e_i, with
+M_a(V_i) <= V_j for every arrow a: i -> j.  Enumeration walks the vertices
+in topological order, so when V_j is chosen every in-arrow source is already
+fixed and the span of its images prunes the candidate cells eagerly.
+
+Each point N gets its homological data dim Hom(N, M/N) and dim Ext^1(N, M/N);
+ext = 0 marks N as homologically transverse, and hom is the tangent-space
+dimension of the Grassmannian at N.  Point counts across several primes
+interpolate to a counting polynomial whose value at q = 1 is the Euler
+characteristic.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+
+from .errors import CountNotPolynomialError, InputError
+from .fields import Field, next_prime
+from .linalg import Matrix, SubspaceBasis, _subspaces_cached, kernel_basis, rref
+from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient
+
+
+@dataclass(frozen=True)
+class SubrepPoint:
+    """A point of the quiver Grassmannian: one canonical subspace per vertex."""
+
+    spaces: tuple
+    dim_vector: tuple
+
+    def sort_key(self):
+        return (self.dim_vector, tuple(s.sort_key() for s in self.spaces))
+
+    def leq(self, other: "SubrepPoint") -> bool:
+        """Containment at every vertex."""
+        return all(b.contains(a) for a, b in zip(self.spaces, other.spaces))
+
+
+@dataclass
+class CensusEntry:
+    point: SubrepPoint
+    hom_dim: int
+    ext_dim: int
+    # (contains_lower, contained_in_upper) once tube analysis has run
+    comb_flags: tuple | None = None
+
+    @property
+    def homologically_transverse(self) -> bool:
+        return self.ext_dim == 0
+
+
+@dataclass
+class CensusReport:
+    rep: Representation
+    entries_by_e: dict
+    complete: bool
+
+    @property
+    def quiver(self):
+        return self.rep.quiver
+
+    @property
+    def field(self) -> Field:
+        return self.rep.field
+
+    def digest(self) -> str:
+        """Stable identity of the censused representation."""
+        rep = self.rep
+        blob = repr(
+            (
+                rep.quiver.vertices,
+                rep.quiver.arrows,
+                rep.field.kind,
+                rep.field.p,
+                rep.dims,
+                tuple((a.name, rep.matrices[a.name].entries) for a in rep.quiver.arrows),
+            )
+        )
+        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+    def entries(self, e) -> list[CensusEntry]:
+        return self.entries_by_e.get(tuple(e), [])
+
+    def points(self, e) -> list[SubrepPoint]:
+        return [entry.point for entry in self.entries(e)]
+
+    def all_entries(self) -> list[CensusEntry]:
+        return [entry for entries in self.entries_by_e.values() for entry in entries]
+
+    def total_points(self) -> int:
+        return sum(len(v) for v in self.entries_by_e.values())
+
+    def total_transverse(self) -> int:
+        return sum(1 for entry in self.all_entries() if entry.homologically_transverse)
+
+
+def enumerate_subreps(m: Representation, e) -> list[SubrepPoint]:
+    """All e-dimensional subrepresentation points, in deterministic order.
+
+    The order is the product order of the per-vertex subspace enumeration,
+    nested along the quiver's topological vertex order.
+    """
+    e = m.quiver.check_dim_vector(e)
+    if any(x < 0 or x > d for x, d in zip(e, m.dims)):
+        raise InputError(f"dimension vector {e} out of range for dims {m.dims}")
+    if m.field.p is None:
+        raise InputError("subrepresentation enumeration needs a finite field")
+
+    quiver = m.quiver
+    idx = quiver.vertex_index
+    order = [idx[v] for v in quiver.topological_order]
+    p = m.field.p
+    in_arrows = [
+        [(idx[a.source], m.matrices[a.name]) for a in quiver.arrows_into(v)]
+        for v in quiver.vertices
+    ]
+
+    chosen: list = [None] * quiver.n
+    out: list[SubrepPoint] = []
+
+    def extend(k: int):
+        if k == len(order):
+            out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=e))
+            return
+        j = order[k]
+        required_rows = []
+        for i, mat in in_arrows[j]:
+            src = chosen[i]
+            for r in range(src.dim):
+                required_rows.append(mat.apply(src.matrix.row(r)))
+        if required_rows:
+            reduced = rref(Matrix.from_rows(m.field, required_rows)).matrix
+            reqs = [row for row in reduced.to_rows() if any(x != 0 for x in row)]
+        else:
+            reqs = []
+        if len(reqs) > e[j]:
+            return
+        for cand in _subspaces_cached(m.dims[j], e[j], p):
+            if all(cand.contains_vector(w) for w in reqs):
+                chosen[j] = cand
+                extend(k + 1)
+        chosen[j] = None
+
+    extend(0)
+    return out
+
+
+def all_dim_vectors(dims) -> list[tuple[int, ...]]:
+    """Every e <= dims componentwise, in lexicographic order."""
+    return [tuple(e) for e in product(*(range(d + 1) for d in dims))]
+
+
+def census(m: Representation, e=None) -> CensusReport:
+    """Per-point homological census; e = None means every e <= dims."""
+    complete = e is None
+    targets = all_dim_vectors(m.dims) if complete else [m.quiver.check_dim_vector(e)]
+    entries_by_e: dict = {}
+    for target in targets:
+        entries = []
+        for point in enumerate_subreps(m, target):
+            sub, quot = sub_quotient(m, point.spaces)
+            he = hom_ext(sub, quot)
+            entries.append(CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim))
+        entries_by_e[target] = entries
+    report = CensusReport(rep=m, entries_by_e=entries_by_e, complete=complete)
+    if complete:
+        assert len(report.entries((0,) * m.quiver.n)) == 1
+        assert len(report.entries(m.dims)) == 1
+    return report
+
+
+def transverse_homological(report: CensusReport, e) -> list[SubrepPoint]:
+    """Points of Gr_e with Ext^1(N, M/N) = 0."""
+    return [entry.point for entry in report.entries(e) if entry.homologically_transverse]
+
+
+def tangent_dim(entry: CensusEntry) -> int:
+    """Tangent-space dimension of the Grassmannian at this point."""
+    return entry.hom_dim
+
+
+@dataclass(frozen=True)
+class CountingPolynomial:
+    """Interpolated |Gr_e(M)(F_q)| as a polynomial in q.
+
+    coefficients are ascending; the check sample is the extra prime used to
+    confirm the interpolation.  euler_characteristic is the value at q = 1.
+    """
+
+    coefficients: tuple
+    samples: tuple
+    check_sample: tuple
+
+    @property
+    def degree(self) -> int:
+        return max(len(self.coefficients) - 1, 0)
+
+    @property
+    def euler_characteristic(self) -> int:
+        return sum(self.coefficients)
+
+    def evaluate(self, q: int) -> int:
+        return sum(c * q**i for i, c in enumerate(self.coefficients))
+
+    def __str__(self):
+        if not self.coefficients:
+            return "0"
+        terms = []
+        for i in range(len(self.coefficients) - 1, -1, -1):
+            c = self.coefficients[i]
+            if c == 0:
+                continue
+            if i == 0:
+                terms.append(str(c))
+            else:
+                head = "" if c == 1 else ("-" if c == -1 else str(c))
+                var = "q" if i == 1 else f"q^{i}"
+                terms.append(f"{head}{var}")
+        return " + ".join(terms).replace("+ -", "- ") if terms else "0"
+
+
+def counting_polynomial(m: Representation, e, q_list) -> CountingPolynomial:
+    """Interpolate point counts of Gr_e over the sampled primes.
+
+    One extra prime (the smallest one past the samples) is counted and
+    compared against the interpolation; a mismatch or a non-integer
+    coefficient raises CountNotPolynomialError with the raw counts attached.
+    """
+    if not m.field.is_rationals:
+        raise InputError("counting_polynomial expects a representation over the rationals")
+    q_list = [int(q) for q in q_list]
+    if len(set(q_list)) != len(q_list) or not q_list:
+        raise InputError("need a nonempty list of distinct primes")
+    e = m.quiver.check_dim_vector(e)
+
+    samples = tuple((q, len(enumerate_subreps(reduce_mod_p(m, q), e))) for q in q_list)
+    coeffs = _lagrange([(Fraction(q), Fraction(c)) for q, c in samples])
+
+    check_q = next_prime(max(q_list))
+    check = (check_q, len(enumerate_subreps(reduce_mod_p(m, check_q), e)))
+
+    predicted = sum(c * check_q**i for i, c in enumerate(coeffs))
+    if predicted != check[1] or any(c.denominator != 1 for c in coeffs):
+        raise CountNotPolynomialError(
+            f"count not polynomial on sampled range: samples={list(samples)}, "
+            f"check q={check[0]} gave {check[1]}, interpolation gave {predicted}",
+            samples=samples,
+            check_sample=check,
+        )
+    return CountingPolynomial(
+        coefficients=tuple(int(c) for c in coeffs),
+        samples=samples,
+        check_sample=check,
+    )
+
+
+def brute_force_subreps(m: Representation, e) -> list[SubrepPoint]:
+    """Test oracle: definition-chasing enumeration, independent of the
+    Schubert-cell path.
+
+    Per vertex, every tuple of spanning vectors is canonicalized by RREF and
+    deduplicated; the cross product is then filtered by is_subrep.  Tuples
+    are drawn for the smaller of e and d - e, going through the annihilator
+    when e is the larger side (the pairing is a bijection on subspaces, and
+    q^(d*e) raw tuples are hopeless near the size guard otherwise).
+    """
+    e = m.quiver.check_dim_vector(e)
+    p = m.field.p
+    if p is None:
+        raise InputError("brute force enumeration needs a finite field")
+    if m.total_dim() > 8 or p > 3:
+        raise InputError("brute force guard: requires total dim <= 8 and q <= 3")
+
+    per_vertex = []
+    for d, k in zip(m.dims, e):
+        vectors = [list(v) for v in product(range(p), repeat=d)]
+        side = min(k, d - k)
+        seen = {}
+        for combo in product(vectors, repeat=side):
+            basis = SubspaceBasis.from_vectors(m.field, combo, d)
+            if basis.dim != side:
+                continue
+            if side != k:
+                basis = SubspaceBasis.from_matrix(m.field, kernel_basis(basis.matrix))
+                assert basis.dim == k
+            seen.setdefault(basis.sort_key(), basis)
+        per_vertex.append([seen[key] for key in sorted(seen)])
+
+    out = []
+    for combo in product(*per_vertex):
+        if is_subrep(m, combo):
+            out.append(SubrepPoint(spaces=tuple(combo), dim_vector=e))
+    return out
+
+
+def _lagrange(points) -> list[Fraction]:
+    """Coefficients (ascending) of the interpolating polynomial."""
+    coeffs = [Fraction(0)] * len(points)
+    for i, (xi, yi) in enumerate(points):
+        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
+        basis = [Fraction(1)]
+        denom = Fraction(1)
+        for j, (xj, _) in enumerate(points):
+            if j == i:
+                continue
+            basis = _poly_mul(basis, [-xj, Fraction(1)])
+            denom *= xi - xj
+        scale = yi / denom
+        for k, c in enumerate(basis):
+            coeffs[k] += scale * c
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out

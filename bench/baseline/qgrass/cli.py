@@ -1,0 +1,374 @@
+"""Command-line interface.
+
+Commands: census, transverse, tube, check, chi, example.  Reports go to
+standard output (deterministic JSON by default, or a plain-text table);
+diagnostics and timing go to standard error.  Exit codes: 0 success (for
+check: loci coincide), 1 check found a counterexample, 2 input or usage
+error, 3 internal assertion failure.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+
+from . import __version__
+from .builtin import emit_builtin
+from .census import census, counting_polynomial, transverse_homological
+from .documents import document_digest, parse_document
+from .errors import InputError, InternalCheckError
+from .fields import is_prime
+from .quiver import compute_euler_data, euler_form
+from .reps import is_rigid, reduce_mod_p
+from .tubes import (
+    canonical_ray_submodule,
+    compare_transverse_loci,
+    quasi_socle,
+    transverse_combinatorial,
+    tube_coordinates,
+)
+
+EXIT_OK = 0
+EXIT_COUNTEREXAMPLE = 1
+EXIT_INPUT = 2
+EXIT_INTERNAL = 3
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qgrass",
+        description="Exact census of quiver Grassmannians over finite fields.",
+    )
+    parser.add_argument("--version", action="version", version=f"qgrass {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add_common(p, needs_input=True):
+        if needs_input:
+            src = p.add_mutually_exclusive_group(required=True)
+            src.add_argument("--input", help="path to a JSON input document")
+            src.add_argument("--builtin", help="name of a built-in module")
+        p.add_argument("--q", default="2,3", help="comma-separated primes (default 2,3)")
+        evt = p.add_mutually_exclusive_group()
+        evt.add_argument("--e", help="comma-separated dimension vector")
+        evt.add_argument("--all-e", action="store_true", help="every e <= dims (default)")
+        p.add_argument("--format", choices=("json", "table"), default="json")
+
+    add_common(sub.add_parser("census", help="point-by-point homological census"))
+    add_common(sub.add_parser("transverse", help="points with vanishing Ext^1(N, M/N)"))
+    add_common(sub.add_parser("tube", help="quasi-socle and tube coordinates"))
+    add_common(sub.add_parser("check", help="compare combinatorial and homological loci"))
+    add_common(sub.add_parser("chi", help="counting polynomial and Euler characteristic"))
+    example = sub.add_parser("example", help="emit a built-in input document")
+    example.add_argument("--builtin", required=True, help="name of a built-in module")
+    example.add_argument("--format", choices=("json", "table"), default="json")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 2 on usage errors and 0 on --help
+        return int(exc.code or 0)
+    start = time.monotonic()
+    try:
+        if args.command == "example":
+            document = emit_builtin(args.builtin)
+            _emit(document, args.format)
+            return EXIT_OK
+        code = _run_command(args)
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except InternalCheckError as exc:
+        print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    print(f"{args.command} completed in {time.monotonic() - start:.2f}s", file=sys.stderr)
+    return code
+
+
+def entry_point():  # pragma: no cover
+    sys.exit(main())
+
+
+def _run_command(args) -> int:
+    document, name = _load_document(args)
+    quiver, rep = parse_document(document)
+    q_list = _parse_primes(args.q)
+    e_sel = _parse_e(args, quiver)
+
+    base = {
+        "tool": {"name": "qgrass", "version": __version__},
+        "command": args.command,
+        "input": {"digest": document_digest(document), "name": name},
+        "parameters": {
+            "q": q_list,
+            "e": "all" if e_sel is None else list(e_sel),
+        },
+    }
+
+    if args.command == "census":
+        base["results"] = [
+            _census_result(reduce_mod_p(rep, q), q, e_sel, with_entries=True)
+            for q in q_list
+        ]
+        _emit(base, args.format)
+        return EXIT_OK
+
+    if args.command == "transverse":
+        results = []
+        for q in q_list:
+            report = census(reduce_mod_p(rep, q), e_sel)
+            per_e = []
+            for e in report.entries_by_e:
+                pts = transverse_homological(report, e)
+                per_e.append(
+                    {
+                        "e": list(e),
+                        "total_points": len(report.entries(e)),
+                        "transverse_points": len(pts),
+                        "points": [_point_obj(report.quiver, p) for p in pts],
+                    }
+                )
+            results.append({"q": q, "per_e": per_e})
+        base["results"] = results
+        _emit(base, args.format)
+        return EXIT_OK
+
+    if args.command == "tube":
+        results = []
+        for q in q_list:
+            rep_q = reduce_mod_p(rep, q)
+            if is_rigid(rep_q):
+                results.append({"q": q, "rigid": True})
+                continue
+            report = census(rep_q)
+            ed = compute_euler_data(quiver)
+            socle = quasi_socle(report, ed)
+            tube = tube_coordinates(ed, rep_q.dims, socle.dim_vector)
+            rays = []
+            for t in range(1, tube.quasi_length + 1):
+                point = canonical_ray_submodule(report, tube, t)
+                rays.append({"t": t, "dims": list(tube.ray_dims[t]),
+                             "point": _point_obj(quiver, point)})
+            results.append(
+                {
+                    "q": q,
+                    "rigid": False,
+                    "quasi_socle": _point_obj(quiver, socle),
+                    "tube": _tube_obj(tube),
+                    "ray_submodules": rays,
+                }
+            )
+        base["results"] = results
+        _emit(base, args.format)
+        return EXIT_OK
+
+    if args.command == "check":
+        comparison = compare_transverse_loci(rep, q_list)
+        base["results"] = _comparison_obj(quiver, comparison)
+        _emit(base, args.format)
+        if comparison.internal_errors:
+            for line in comparison.internal_errors:
+                print(f"internal check failed: {line}", file=sys.stderr)
+            return EXIT_INTERNAL
+        return EXIT_OK if comparison.verdict else EXIT_COUNTEREXAMPLE
+
+    if args.command == "chi":
+        targets = [e_sel] if e_sel is not None else None
+        if targets is None:
+            from .census import all_dim_vectors
+
+            targets = all_dim_vectors(rep.dims)
+        results = []
+        failed = False
+        for e in targets:
+            try:
+                poly = counting_polynomial(rep, e, q_list)
+            except InternalCheckError as exc:
+                failed = True
+                results.append({"e": list(e), "error": str(exc)})
+                continue
+            results.append(
+                {
+                    "e": list(e),
+                    "polynomial": str(poly),
+                    "coefficients": list(poly.coefficients),
+                    "degree": poly.degree,
+                    "euler_characteristic": poly.euler_characteristic,
+                    "samples": [list(s) for s in poly.samples],
+                    "check_sample": list(poly.check_sample),
+                }
+            )
+        base["results"] = results
+        _emit(base, args.format)
+        return EXIT_INTERNAL if failed else EXIT_OK
+
+    raise InputError(f"unknown command {args.command!r}")
+
+
+def _load_document(args):
+    if getattr(args, "builtin", None):
+        document = emit_builtin(args.builtin)
+        return document, args.builtin
+    document_path = args.input
+    try:
+        with open(document_path, "r", encoding="utf-8") as handle:
+            document = json.load(handle)
+    except OSError as exc:
+        raise InputError(f"cannot read {document_path!r}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise InputError(
+            f"{document_path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
+        ) from exc
+    name = None
+    if isinstance(document, dict):
+        name = (document.get("metadata") or {}).get("name")
+    return document, name
+
+
+def _parse_primes(text: str) -> list[int]:
+    try:
+        qs = [int(x) for x in text.split(",") if x.strip()]
+    except ValueError:
+        raise InputError(f"bad prime list {text!r}") from None
+    if not qs:
+        raise InputError("empty prime list")
+    for q in qs:
+        if not is_prime(q):
+            raise InputError(f"{q} is not prime")
+    if len(set(qs)) != len(qs):
+        raise InputError("duplicate primes")
+    return qs
+
+
+def _parse_e(args, quiver):
+    if getattr(args, "e", None):
+        try:
+            e = tuple(int(x) for x in args.e.split(","))
+        except ValueError:
+            raise InputError(f"bad dimension vector {args.e!r}") from None
+        return quiver.check_dim_vector(e)
+    return None
+
+
+def _census_result(rep_q, q: int, e_sel, with_entries: bool) -> dict:
+    report = census(rep_q, e_sel)
+    per_e = []
+    for e, entries in report.entries_by_e.items():
+        row = {
+            "e": list(e),
+            "total_points": len(entries),
+            "transverse_points": sum(1 for x in entries if x.homologically_transverse),
+            "euler_form": euler_form(report.quiver, e, tuple(d - x for d, x in zip(rep_q.dims, e))),
+        }
+        if with_entries:
+            row["entries"] = [_entry_obj(report.quiver, x) for x in entries]
+        per_e.append(row)
+    return {
+        "q": q,
+        "dims": list(rep_q.dims),
+        "total_points": report.total_points(),
+        "total_transverse": report.total_transverse(),
+        "per_e": per_e,
+    }
+
+
+def _point_obj(quiver, point) -> dict:
+    spaces = {}
+    for v, basis in zip(quiver.vertices, point.spaces):
+        spaces[v] = [[int(x) for x in basis.matrix.row(r)] for r in range(basis.dim)]
+    return {"dim_vector": list(point.dim_vector), "spaces": spaces}
+
+
+def _entry_obj(quiver, entry) -> dict:
+    obj = {
+        "point": _point_obj(quiver, entry.point),
+        "hom_dim": entry.hom_dim,
+        "ext_dim": entry.ext_dim,
+        "transverse": entry.homologically_transverse,
+    }
+    if entry.comb_flags is not None:
+        obj["contains_lower"] = entry.comb_flags[0]
+        obj["contained_in_upper"] = entry.comb_flags[1]
+    return obj
+
+
+def _tube_obj(tube) -> dict:
+    return {
+        "quasi_socle_dim": list(tube.quasi_socle_dim),
+        "tube_rank": tube.tube_rank,
+        "quasi_length": tube.quasi_length,
+        "l": tube.l,
+        "k": tube.k,
+        "ray_dims": [list(d) for d in tube.ray_dims],
+        "vacuous_window": tube.vacuous_window,
+    }
+
+
+def _comparison_obj(quiver, comparison) -> dict:
+    per_field = []
+    for fc in comparison.per_field:
+        obj = {"q": fc.q, "rigid": fc.rigid, "verdict": fc.verdict}
+        if fc.error:
+            obj["error"] = fc.error
+        if fc.tube:
+            obj["tube"] = _tube_obj(fc.tube)
+        obj["per_e"] = [
+            {
+                "e": list(e),
+                "combinatorial": len(comb),
+                "homological": len(hom),
+                "equal": equal,
+            }
+            for e, (comb, hom, equal) in fc.per_e.items()
+        ]
+        per_field.append(obj)
+    return {
+        "verdict": comparison.verdict,
+        "per_field": per_field,
+        "counterexamples": [
+            {
+                "q": ce.q,
+                "e": list(ce.e),
+                "point": _point_obj(quiver, ce.point),
+                "ext_dim": ce.ext_dim,
+                "contains_lower": None if ce.comb_flags is None else ce.comb_flags[0],
+                "contained_in_upper": None if ce.comb_flags is None else ce.comb_flags[1],
+                "side": ce.side,
+            }
+            for ce in comparison.counterexamples
+        ],
+    }
+
+
+def _emit(payload, fmt: str):
+    if fmt == "json":
+        print(json.dumps(payload, sort_keys=True, indent=2))
+    else:
+        for line in _render_table(payload):
+            print(line)
+
+
+def _render_table(payload, indent=0):
+    pad = "  " * indent
+    if isinstance(payload, dict):
+        for key in sorted(payload):
+            value = payload[key]
+            if isinstance(value, (dict, list)):
+                yield f"{pad}{key}:"
+                yield from _render_table(value, indent + 1)
+            else:
+                yield f"{pad}{key}: {value}"
+    elif isinstance(payload, list):
+        for item in payload:
+            if isinstance(item, (dict, list)):
+                yield f"{pad}-"
+                yield from _render_table(item, indent + 1)
+            else:
+                yield f"{pad}- {item}"
+    else:
+        yield f"{pad}{payload}"

@@ -1,0 +1,316 @@
+"""Tube coordinates of regular modules and the combinatorial transverse locus.
+
+A non-rigid indecomposable over an affine quiver is regular and sits in a
+tube of some rank p: it is the quasi-length-t module on the ray above a
+quasi-simple R0, with t = l*p + k, l >= 1, 0 <= k <= p - 1.  On dimension
+vectors the ray is controlled by the Coxeter matrix: the quasi-simple layers
+are Phi^{-j}(dim R0) and their partial sums are the ray dimension vectors.
+
+The combinatorial transverse locus keeps every point except those pinched
+between the canonical ray submodules of quasi-lengths k + 1 and l*p - 1
+(for a rigid module nothing is removed).  The homological locus keeps the
+points with Ext^1(N, M/N) = 0.  ``compare_transverse_loci`` computes both,
+point by point over each requested prime field, and reports whether they
+coincide.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field as dataclass_field
+
+from .census import CensusReport, SubrepPoint, census, transverse_homological
+from .errors import (
+    AmbiguousQuasiSocleError,
+    InputError,
+    InternalCheckError,
+    NotOnRayError,
+    NotRegularError,
+    RayAmbiguityError,
+    RigidRegularError,
+)
+from .linalg import SubspaceBasis
+from .quiver import EulerData, compute_euler_data, coxeter_apply, defect
+from .reps import Representation, is_rigid, reduce_mod_p
+
+
+@dataclass(frozen=True)
+class TubeData:
+    """Coordinates of a regular indecomposable inside its tube.
+
+    ray_dims[t] is the dimension vector of the quasi-length-t ray submodule;
+    ray_dims[0] is zero and ray_dims[quasi_length] is the module itself.
+    """
+
+    quasi_socle_dim: tuple
+    tube_rank: int
+    quasi_length: int
+    l: int
+    k: int
+    ray_dims: tuple
+
+    @property
+    def vacuous_window(self) -> bool:
+        """True when l = 1 and k = p - 1, where the pinched window
+        [k + 1, l*p - 1] is empty and nothing gets excluded."""
+        return self.l == 1 and self.k == self.tube_rank - 1
+
+
+def quasi_socle(report: CensusReport, euler_data: EulerData | None = None) -> SubrepPoint:
+    """The minimum nonzero defect-zero subrepresentation point.
+
+    Defect zero rules out preprojective summands, so the candidates are the
+    regular submodules; for an indecomposable regular module they are nested
+    and the minimum is its quasi-socle.
+    """
+    if not report.complete:
+        raise InputError("quasi_socle needs a census over every dimension vector")
+    ed = euler_data or compute_euler_data(report.quiver)
+    candidates = []
+    for e, entries in report.entries_by_e.items():
+        if all(x == 0 for x in e) or defect(ed, e) != 0:
+            continue
+        candidates.extend(entry.point for entry in entries)
+    if not candidates:
+        raise NotRegularError("no nonzero submodule of defect zero: module is not regular")
+    minimal = [
+        c
+        for c in candidates
+        if not any(other is not c and other.leq(c) and other != c for other in candidates)
+    ]
+    if len(minimal) != 1:
+        dims = sorted({m.dim_vector for m in minimal})
+        raise AmbiguousQuasiSocleError(
+            f"{len(minimal)} incomparable minimal regular submodules (dims {dims}): "
+            "decomposable module or degenerate reduction"
+        )
+    bottom = minimal[0]
+    assert all(bottom.leq(c) for c in candidates)
+    return bottom
+
+
+def tube_coordinates(euler_data: EulerData, dim_m, dim_r0) -> TubeData:
+    """Tube rank, quasi-length and the ray dimension vectors above dim_r0."""
+    quiver = euler_data.quiver
+    dim_m = quiver.check_dim_vector(dim_m)
+    dim_r0 = quiver.check_dim_vector(dim_r0)
+    if not euler_data.is_affine:
+        raise InputError("tube coordinates need an affine quiver")
+    if all(x == 0 for x in dim_r0) or any(x < 0 for x in dim_r0):
+        raise InputError("quasi-socle dimension vector must be nonzero and nonnegative")
+    if defect(euler_data, dim_r0) != 0:
+        raise InputError(f"quasi-socle candidate {dim_r0} has nonzero defect")
+
+    bound = sum(dim_m) + quiver.n + 2
+    rank = None
+    v = dim_r0
+    for t in range(1, bound + 1):
+        v = coxeter_apply(euler_data, v, 1)
+        if v == dim_r0:
+            rank = t
+            break
+    if rank is None:
+        raise NotOnRayError(f"{dim_r0} has no Coxeter period up to {bound}")
+
+    ray = [(0,) * quiver.n, dim_r0]
+    layer = dim_r0
+    total = dim_r0
+    quasi_length = 1 if total == dim_m else None
+    while quasi_length is None and sum(total) < sum(dim_m):
+        layer = coxeter_apply(euler_data, layer, -1)
+        total = tuple(a + b for a, b in zip(total, layer))
+        if any(x < 0 for x in total):
+            break
+        ray.append(total)
+        if total == dim_m:
+            quasi_length = len(ray) - 1
+    if quasi_length is None:
+        raise NotOnRayError(
+            f"partial ray sums from {dim_r0} never reach {dim_m}: not on the ray"
+        )
+
+    l, k = divmod(quasi_length, rank)
+    if l == 0:
+        raise RigidRegularError(
+            f"quasi-length {quasi_length} < tube rank {rank}: rigid regular module"
+        )
+    ray = ray[: quasi_length + 1]
+    assert all(defect(euler_data, d) == 0 for d in ray[1:])
+    return TubeData(
+        quasi_socle_dim=dim_r0,
+        tube_rank=rank,
+        quasi_length=quasi_length,
+        l=l,
+        k=k,
+        ray_dims=tuple(ray),
+    )
+
+
+def canonical_ray_submodule(report: CensusReport, tube: TubeData, t: int) -> SubrepPoint:
+    """The unique subrepresentation point with the quasi-length-t ray dims.
+
+    t = 0 gives the zero point.  Uniqueness is a structural fact for genuine
+    regular indecomposables; a different count raises RayAmbiguityError.
+    """
+    if not 0 <= t <= tube.quasi_length:
+        raise InputError(f"ray index {t} out of range 0..{tube.quasi_length}")
+    if t == 0:
+        field = report.field
+        spaces = tuple(SubspaceBasis.zero(field, d) for d in report.rep.dims)
+        return SubrepPoint(spaces=spaces, dim_vector=(0,) * report.quiver.n)
+    points = report.points(tube.ray_dims[t])
+    if len(points) != 1:
+        raise RayAmbiguityError(tube.ray_dims[t], len(points))
+    return points[0]
+
+
+@dataclass
+class CombinatorialTransverse:
+    """Per-e combinatorial transverse sets plus how they were obtained."""
+
+    sets_by_e: dict
+    rigid: bool
+    tube: TubeData | None
+    lower: SubrepPoint | None
+    upper: SubrepPoint | None
+
+    def points(self, e) -> list[SubrepPoint]:
+        return self.sets_by_e.get(tuple(e), [])
+
+
+def transverse_combinatorial(report: CensusReport) -> CombinatorialTransverse:
+    """Combinatorial transverse locus of a full census.
+
+    Rigid modules keep their whole Grassmannian.  Otherwise the quasi-socle
+    and tube coordinates are computed and the points N with
+    ray(k+1) <= N <= ray(l*p - 1) are excluded; each entry's comb_flags
+    record the two containments.
+    """
+    if not report.complete:
+        raise InputError("combinatorial transverse locus needs a full census")
+    rep = report.rep
+    if is_rigid(rep):
+        sets = {e: [entry.point for entry in entries] for e, entries in report.entries_by_e.items()}
+        return CombinatorialTransverse(sets_by_e=sets, rigid=True, tube=None, lower=None, upper=None)
+
+    ed = compute_euler_data(report.quiver)
+    if not ed.is_affine:
+        raise InputError(
+            "combinatorial transverse locus undefined: non-rigid module on a non-affine quiver"
+        )
+    socle = quasi_socle(report, ed)
+    try:
+        tube = tube_coordinates(ed, rep.dims, socle.dim_vector)
+    except RigidRegularError:
+        # defensive: a non-rigid module should never land here
+        sets = {e: [entry.point for entry in entries] for e, entries in report.entries_by_e.items()}
+        return CombinatorialTransverse(sets_by_e=sets, rigid=True, tube=None, lower=None, upper=None)
+
+    lower = canonical_ray_submodule(report, tube, tube.k + 1)
+    upper = canonical_ray_submodule(report, tube, tube.l * tube.tube_rank - 1)
+
+    sets = {}
+    for e, entries in report.entries_by_e.items():
+        kept = []
+        for entry in entries:
+            contains_lower = lower.leq(entry.point)
+            contained_in_upper = entry.point.leq(upper)
+            entry.comb_flags = (contains_lower, contained_in_upper)
+            if not (contains_lower and contained_in_upper):
+                kept.append(entry.point)
+        sets[e] = kept
+    return CombinatorialTransverse(sets_by_e=sets, rigid=False, tube=tube, lower=lower, upper=upper)
+
+
+@dataclass
+class Counterexample:
+    q: int
+    e: tuple
+    point: SubrepPoint
+    ext_dim: int
+    comb_flags: tuple | None
+    side: str  # "combinatorial_only" or "homological_only"
+
+
+@dataclass
+class FieldComparison:
+    """Comparison of both transverse loci over one prime field."""
+
+    q: int
+    rigid: bool = False
+    tube: TubeData | None = None
+    error: str | None = None
+    per_e: dict = dataclass_field(default_factory=dict)  # e -> (comb pts, hom pts, equal)
+    report: CensusReport | None = None
+
+    @property
+    def verdict(self) -> bool:
+        return self.error is None and all(equal for _, _, equal in self.per_e.values())
+
+
+@dataclass
+class TransverseComparison:
+    per_field: list
+    counterexamples: list
+
+    @property
+    def verdict(self) -> bool:
+        return bool(self.per_field) and all(fc.verdict for fc in self.per_field)
+
+    @property
+    def internal_errors(self) -> list[str]:
+        return [f"q={fc.q}: {fc.error}" for fc in self.per_field if fc.error]
+
+
+def compare_transverse_loci(m: Representation, q_list) -> TransverseComparison:
+    """Point-by-point comparison of the combinatorial and homological
+    transverse loci over each prime in q_list.
+
+    Input is a rational representation; tube-pipeline failures are recorded
+    per prime and do not abort the other primes.
+    """
+    if not m.field.is_rationals:
+        raise InputError("compare_transverse_loci expects a representation over the rationals")
+    q_list = list(q_list)
+    if not q_list:
+        raise InputError("need at least one prime")
+
+    per_field = []
+    counterexamples = []
+    for q in q_list:
+        rep_q = reduce_mod_p(m, q)
+        report = census(rep_q)
+        fc = FieldComparison(q=q, report=report)
+        try:
+            comb = transverse_combinatorial(report)
+        except (NotRegularError, InternalCheckError) as err:
+            fc.error = f"{type(err).__name__}: {err}"
+            per_field.append(fc)
+            continue
+        fc.rigid = comb.rigid
+        fc.tube = comb.tube
+        ext_of = {
+            e: {entry.point: entry for entry in entries}
+            for e, entries in report.entries_by_e.items()
+        }
+        for e in report.entries_by_e:
+            comb_pts = set(comb.points(e))
+            hom_pts = set(transverse_homological(report, e))
+            equal = comb_pts == hom_pts
+            fc.per_e[e] = (sorted(comb_pts, key=SubrepPoint.sort_key),
+                           sorted(hom_pts, key=SubrepPoint.sort_key),
+                           equal)
+            if not equal:
+                for pt in sorted(comb_pts ^ hom_pts, key=SubrepPoint.sort_key):
+                    entry = ext_of[e][pt]
+                    counterexamples.append(
+                        Counterexample(
+                            q=q,
+                            e=e,
+                            point=pt,
+                            ext_dim=entry.ext_dim,
+                            comb_flags=entry.comb_flags,
+                            side="combinatorial_only" if pt in comb_pts else "homological_only",
+                        )
+                    )
+        per_field.append(fc)
+    return TransverseComparison(per_field=per_field, counterexamples=counterexamples)
