@@ -13,7 +13,6 @@ from qgrass import (
     emit_builtin,
     parse_document,
     reduce_mod_p,
-    tangent_dim,
     transverse_combinatorial,
     transverse_homological,
 )
@@ -30,9 +29,7 @@ for q in (2, 3):
         spaces = entry.point.spaces
         rows = [spaces[1].matrix.to_rows(), spaces[2].matrix.to_rows()]
         marker = "  <- singular crossing" if entry.ext_dim else ""
-        print(
-            f"  V2 = {rows[0]}, V3 = {rows[1]}: tangent dim {tangent_dim(entry)}{marker}"
-        )
+        print(f"  V2 = {rows[0]}, V3 = {rows[1]}: tangent dim {entry.hom_dim}{marker}")
     hom = set(transverse_homological(report, e))
     comb = set(transverse_combinatorial(report).points(e))
     assert hom == comb == {x.point for x in entries if x.ext_dim == 0}

@@ -19,13 +19,12 @@ from .census import (
     census,
     counting_polynomial,
     enumerate_subreps,
-    tangent_dim,
     transverse_homological,
 )
 from .documents import (
     document_digest,
     parse_document,
-    parse_input,
+    read_document,
     representation_document,
 )
 from .errors import (
@@ -47,8 +46,6 @@ from .linalg import (
     gaussian_binomial,
     kernel_basis,
     rref,
-    solve_membership,
-    subspace_contains,
 )
 from .quiver import (
     Arrow,
@@ -66,7 +63,6 @@ from .reps import (
     hom_ext,
     is_rigid,
     is_subrep,
-    rational_matrix,
     reduce_mod_p,
     sub_quotient,
 )
@@ -131,16 +127,12 @@ __all__ = [
     "is_subrep",
     "kernel_basis",
     "parse_document",
-    "parse_input",
     "quasi_socle",
-    "rational_matrix",
+    "read_document",
     "reduce_mod_p",
     "representation_document",
     "rref",
-    "solve_membership",
     "sub_quotient",
-    "subspace_contains",
-    "tangent_dim",
     "transverse_combinatorial",
     "transverse_homological",
     "tube_coordinates",

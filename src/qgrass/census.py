@@ -15,12 +15,11 @@ characteristic.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .errors import CountNotPolynomialError, InputError
+from .errors import CountNotPolynomialError, InputError, InternalCheckError
 from .fields import Field, next_prime
 from .linalg import Matrix, SubspaceBasis, _subspaces_cached, kernel_basis, rref
 from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient
@@ -67,21 +66,6 @@ class CensusReport:
     @property
     def field(self) -> Field:
         return self.rep.field
-
-    def digest(self) -> str:
-        """Stable identity of the censused representation."""
-        rep = self.rep
-        blob = repr(
-            (
-                rep.quiver.vertices,
-                rep.quiver.arrows,
-                rep.field.kind,
-                rep.field.p,
-                rep.dims,
-                tuple((a.name, rep.matrices[a.name].entries) for a in rep.quiver.arrows),
-            )
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
     def entries(self, e) -> list[CensusEntry]:
         return self.entries_by_e.get(tuple(e), [])
@@ -168,20 +152,14 @@ def census(m: Representation, e=None) -> CensusReport:
             entries.append(CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim))
         entries_by_e[target] = entries
     report = CensusReport(rep=m, entries_by_e=entries_by_e, complete=complete)
-    if complete:
-        assert len(report.entries((0,) * m.quiver.n)) == 1
-        assert len(report.entries(m.dims)) == 1
+    if complete and not (len(report.entries((0,) * m.quiver.n)) == len(report.entries(m.dims)) == 1):
+        raise InternalCheckError("a full census needs exactly one point at e = 0 and one at e = dims")
     return report
 
 
 def transverse_homological(report: CensusReport, e) -> list[SubrepPoint]:
     """Points of Gr_e with Ext^1(N, M/N) = 0."""
     return [entry.point for entry in report.entries(e) if entry.homologically_transverse]
-
-
-def tangent_dim(entry: CensusEntry) -> int:
-    """Tangent-space dimension of the Grassmannian at this point."""
-    return entry.hom_dim
 
 
 @dataclass(frozen=True)
@@ -203,9 +181,6 @@ class CountingPolynomial:
     @property
     def euler_characteristic(self) -> int:
         return sum(self.coefficients)
-
-    def evaluate(self, q: int) -> int:
-        return sum(c * q**i for i, c in enumerate(self.coefficients))
 
     def __str__(self):
         if not self.coefficients:

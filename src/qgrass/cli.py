@@ -16,8 +16,8 @@ import time
 
 from . import __version__
 from .builtin import emit_builtin
-from .census import census, counting_polynomial, transverse_homological
-from .documents import document_digest, parse_document
+from .census import all_dim_vectors, census, counting_polynomial, transverse_homological
+from .documents import document_digest, parse_document, read_document
 from .errors import InputError, InternalCheckError
 from .fields import is_prime
 from .quiver import compute_euler_data, euler_form
@@ -111,10 +111,7 @@ def _run_command(args) -> int:
     }
 
     if args.command == "census":
-        base["results"] = [
-            _census_result(reduce_mod_p(rep, q), q, e_sel, with_entries=True)
-            for q in q_list
-        ]
+        base["results"] = [_census_result(reduce_mod_p(rep, q), q, e_sel) for q in q_list]
         _emit(base, args.format)
         return EXIT_OK
 
@@ -178,11 +175,7 @@ def _run_command(args) -> int:
         return EXIT_OK if comparison.verdict else EXIT_COUNTEREXAMPLE
 
     if args.command == "chi":
-        targets = [e_sel] if e_sel is not None else None
-        if targets is None:
-            from .census import all_dim_vectors
-
-            targets = all_dim_vectors(rep.dims)
+        targets = [e_sel] if e_sel is not None else all_dim_vectors(rep.dims)
         results = []
         failed = False
         for e in targets:
@@ -211,19 +204,9 @@ def _run_command(args) -> int:
 
 
 def _load_document(args):
-    if getattr(args, "builtin", None):
-        document = emit_builtin(args.builtin)
-        return document, args.builtin
-    document_path = args.input
-    try:
-        with open(document_path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
-    except OSError as exc:
-        raise InputError(f"cannot read {document_path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"{document_path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    if args.builtin:
+        return emit_builtin(args.builtin), args.builtin
+    document = read_document(args.input)
     name = None
     if isinstance(document, dict):
         name = (document.get("metadata") or {}).get("name")
@@ -246,28 +229,32 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _parse_e(args, quiver):
-    if getattr(args, "e", None):
-        try:
-            e = tuple(int(x) for x in args.e.split(","))
-        except ValueError:
-            raise InputError(f"bad dimension vector {args.e!r}") from None
-        return quiver.check_dim_vector(e)
-    return None
+    if not args.e:
+        return None
+    if args.command in ("check", "tube"):
+        raise InputError(
+            f"--e does not apply to {args.command}, which needs the full census; "
+            "it applies to census, transverse and chi"
+        )
+    try:
+        e = tuple(int(x) for x in args.e.split(","))
+    except ValueError:
+        raise InputError(f"bad dimension vector {args.e!r}") from None
+    return quiver.check_dim_vector(e)
 
 
-def _census_result(rep_q, q: int, e_sel, with_entries: bool) -> dict:
+def _census_result(rep_q, q: int, e_sel) -> dict:
     report = census(rep_q, e_sel)
-    per_e = []
-    for e, entries in report.entries_by_e.items():
-        row = {
+    per_e = [
+        {
             "e": list(e),
             "total_points": len(entries),
             "transverse_points": sum(1 for x in entries if x.homologically_transverse),
             "euler_form": euler_form(report.quiver, e, tuple(d - x for d, x in zip(rep_q.dims, e))),
+            "entries": [_entry_obj(report.quiver, x) for x in entries],
         }
-        if with_entries:
-            row["entries"] = [_entry_obj(report.quiver, x) for x in entries]
-        per_e.append(row)
+        for e, entries in report.entries_by_e.items()
+    ]
     return {
         "q": q,
         "dims": list(rep_q.dims),

@@ -49,10 +49,10 @@ def parse_document(doc: dict) -> tuple[Quiver, Representation]:
     extra = [v for v in dims_map if v not in quiver.vertex_index]
     if extra:
         raise InputError(f"dims given for unknown vertices {sorted(extra)}")
-    try:
-        dims = tuple(int(dims_map[v]) for v in quiver.vertices)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"non-integer dimension: {exc}") from exc
+    dims = tuple(dims_map[v] for v in quiver.vertices)
+    for v, d in zip(quiver.vertices, dims):
+        if isinstance(d, bool) or not isinstance(d, int):
+            raise InputError(f"non-integer dimension {d!r} for vertex {v!r}")
     if any(d < 0 for d in dims):
         raise InputError("dimensions must be nonnegative")
 
@@ -89,16 +89,15 @@ def parse_document(doc: dict) -> tuple[Quiver, Representation]:
     return quiver, Representation(quiver, QQ, dims, matrices)
 
 
-def parse_input(path: str) -> tuple[Quiver, Representation]:
-    """Load and validate an input document from a JSON file."""
+def read_document(path: str) -> dict:
+    """Load an input document from a JSON file; parse it with parse_document."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
+            return json.load(handle)
     except OSError as exc:
         raise InputError(f"cannot read {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    return parse_document(doc)
 
 
 def representation_document(quiver: Quiver, rep: Representation, name: str | None = None) -> dict:

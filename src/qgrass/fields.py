@@ -60,10 +60,6 @@ class Field:
         self._inv = None
 
     @classmethod
-    def rationals(cls) -> "Field":
-        return QQ
-
-    @classmethod
     def prime(cls, p: int) -> "Field":
         return cls(PRIME, p)
 
@@ -84,15 +80,6 @@ class Field:
             return n % self.p
         return Fraction(n)
 
-    def add(self, a, b):
-        return (a + b) % self.p if self.p is not None else a + b
-
-    def sub(self, a, b):
-        return (a - b) % self.p if self.p is not None else a - b
-
-    def mul(self, a, b):
-        return (a * b) % self.p if self.p is not None else a * b
-
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
 
@@ -109,15 +96,6 @@ class Field:
                 self._inv = _inverse_table(self.p)
             return self._inv[a]
         return pow(a, -1, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
-    def elements(self) -> range:
-        """All field elements, in the canonical order (prime fields only)."""
-        if self.p is None:
-            raise InputError("cannot enumerate the rationals")
-        return range(self.p)
 
     def parse(self, text):
         """Parse an exact scalar: an int, or a string 'n' or 'n/m'."""

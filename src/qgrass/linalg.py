@@ -306,16 +306,6 @@ def _leading_columns(matrix: Matrix) -> tuple:
     return tuple(pivots)
 
 
-def solve_membership(space: SubspaceBasis, v) -> bool:
-    """Is the vector v in the row space of the basis?"""
-    return space.contains_vector(v)
-
-
-def subspace_contains(a: SubspaceBasis, b: SubspaceBasis) -> bool:
-    """Is b a subspace of a?"""
-    return a.contains(b)
-
-
 @lru_cache(maxsize=None)
 def _subspaces_cached(ambient_dim: int, dim: int, p: int) -> tuple:
     field = Field.prime(p)

@@ -18,9 +18,9 @@ from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .fields import QQ
-from .linalg import Matrix, kernel_basis
+from .linalg import Matrix, kernel_basis, rref
 
 
 class Arrow(NamedTuple):
@@ -79,9 +79,6 @@ class Quiver:
     def arrows_into(self, v) -> list[Arrow]:
         return [a for a in self.arrows if a.target == v]
 
-    def arrows_out_of(self, v) -> list[Arrow]:
-        return [a for a in self.arrows if a.source == v]
-
     def check_dim_vector(self, d) -> tuple[int, ...]:
         d = tuple(int(x) for x in d)
         if len(d) != self.n:
@@ -138,9 +135,8 @@ def compute_euler_data(quiver: Quiver) -> EulerData:
     ETinv = _integer_inverse(ET)
     phi = [[-x for x in row] for row in _int_matmul(Einv, ET)]
     phi_inv = [[-x for x in row] for row in _int_matmul(ETinv, E)]
-    assert _int_matmul(phi, phi_inv) == [
-        [1 if i == j else 0 for j in range(n)] for i in range(n)
-    ]
+    if _int_matmul(phi, phi_inv) != [[int(i == j) for j in range(n)] for i in range(n)]:
+        raise InternalCheckError("the Coxeter matrix times its inverse is not the identity")
 
     B = [[E[i][j] + E[j][i] for j in range(n)] for i in range(n)]
     null_root = _affine_null_root(B)
@@ -188,9 +184,7 @@ def _integer_inverse(mat: list[list[int]]) -> list[list[int]]:
             for i in range(n)
         ],
     )
-    from .linalg import rref as _rref
-
-    red, rank, _ = _rref(aug)
+    red, rank, _ = rref(aug)
     if rank != n:
         raise InputError("matrix is singular")
     out = []

@@ -8,15 +8,14 @@ Hom and Ext^1 between representations M and N come from one linear map,
 
 whose kernel is Hom(M, N) and whose cokernel is Ext^1(M, N); path algebras
 of acyclic quivers are hereditary, so nothing higher survives.  The identity
-hom - ext = <dim M, dim N> is asserted on every call.
+hom - ext = <dim M, dim N> is checked on every call.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .fields import Field
 from .linalg import Matrix, SubspaceBasis, rref
 from .quiver import Quiver, euler_form
@@ -63,9 +62,6 @@ class Representation:
 
     def total_dim(self) -> int:
         return sum(self.dims)
-
-    def arrow_matrix(self, name: str) -> Matrix:
-        return self.matrices[name]
 
     def __repr__(self):
         return f"Representation(dims={self.dims}, field={self.field!r})"
@@ -120,7 +116,10 @@ def hom_ext(m: Representation, n: Representation) -> HomExtResult:
         rank = rref(Matrix.from_rows(field, rows)).rank
     hom = dom_total - rank
     ext = cod_total - rank
-    assert hom - ext == euler_form(quiver, mdims, ndims)
+    if hom - ext != euler_form(quiver, mdims, ndims):
+        raise InternalCheckError(
+            f"hom - ext = {hom} - {ext} differs from the Euler form <{mdims}, {ndims}>"
+        )
     return HomExtResult(hom, ext)
 
 
@@ -223,17 +222,6 @@ def direct_sum(m: Representation, n: Representation) -> Representation:
             rows.append([field.zero] * ma.cols + na.row(r))
         mats[a.name] = Matrix(field, dims[j], dims[i], [x for row in rows for x in row])
     return Representation(quiver, field, dims, mats)
-
-
-def matrix_from_entries(field: Field, rows: int, cols: int, entries) -> Matrix:
-    """Build a matrix from ints / rational strings, parsed exactly."""
-    return Matrix(field, rows, cols, [field.parse(x) for x in entries])
-
-
-def rational_matrix(rows_of_ints) -> Matrix:
-    from .fields import QQ
-
-    return Matrix.from_rows(QQ, [[Fraction(x) for x in row] for row in rows_of_ints])
 
 
 def _check_spaces(m: Representation, spaces) -> tuple[SubspaceBasis, ...]:

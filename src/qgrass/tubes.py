@@ -84,7 +84,8 @@ def quasi_socle(report: CensusReport, euler_data: EulerData | None = None) -> Su
             "decomposable module or degenerate reduction"
         )
     bottom = minimal[0]
-    assert all(bottom.leq(c) for c in candidates)
+    if not all(bottom.leq(c) for c in candidates):
+        raise InternalCheckError(f"the minimal regular submodule {bottom.dim_vector} is not below all others")
     return bottom
 
 
@@ -134,7 +135,8 @@ def tube_coordinates(euler_data: EulerData, dim_m, dim_r0) -> TubeData:
             f"quasi-length {quasi_length} < tube rank {rank}: rigid regular module"
         )
     ray = ray[: quasi_length + 1]
-    assert all(defect(euler_data, d) == 0 for d in ray[1:])
+    if any(defect(euler_data, d) != 0 for d in ray[1:]):
+        raise InternalCheckError(f"a ray dimension vector above {dim_r0} has nonzero defect")
     return TubeData(
         quasi_socle_dim=dim_r0,
         tube_rank=rank,

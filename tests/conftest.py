@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
+import qgrass
 from qgrass import (
     Field,
     Matrix,
@@ -12,6 +15,11 @@ from qgrass import (
     emit_builtin,
     parse_document,
 )
+
+
+# for a child interpreter's PYTHONPATH: it then imports the same qgrass as
+# the test process, however that one found it
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(qgrass.__file__)))
 
 
 @pytest.fixture

@@ -19,7 +19,6 @@ from qgrass import (
     is_rigid,
     is_subrep,
     reduce_mod_p,
-    tangent_dim,
     transverse_homological,
 )
 from conftest import BATTERY, builtin_rep
@@ -153,16 +152,15 @@ def test_census_totals_and_extreme_points():
 
 
 def test_tangent_dim_bounds():
-    # tangent dimension is hom, and it never drops below <e, d-e>
+    # tangent dimension (hom) never drops below <e, d-e>
     for name in BATTERY:
         quiver, rep = modp(name, 2)
         report = census(rep)
         for e, entries in report.entries_by_e.items():
             lower = euler_form(quiver, e, tuple(d - x for d, x in zip(rep.dims, e)))
             for entry in entries:
-                assert tangent_dim(entry) == entry.hom_dim
-                assert tangent_dim(entry) >= lower
-                assert (tangent_dim(entry) == lower) == entry.homologically_transverse
+                assert entry.hom_dim >= lower
+                assert (entry.hom_dim == lower) == entry.homologically_transverse
 
 
 def test_rigid_modules_are_everywhere_transverse():

@@ -1,0 +1,59 @@
+"""Pin the exact stdout bytes of the CLI reports.
+
+tests/cli_digests.json holds, for each command line below, the exit code and
+the sha256 of stdout, recorded before the code that produces them was
+refactored.  Any change in a report's bytes fails here.  To re-record after a
+deliberate report change (and only then):
+
+    PYTHONPATH=src python tests/test_cli_digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from conftest import BATTERY
+
+from qgrass.cli import main
+
+DIGESTS = Path(__file__).with_name("cli_digests.json")
+
+
+def command_lines() -> list[list[str]]:
+    lines = [
+        [command, "--builtin", name, "--q", "2,3"]
+        for command in ("census", "transverse", "tube", "check")
+        for name in [*BATTERY, "kronecker-preproj:1"]
+    ]
+    lines.append(["chi", "--builtin", "a21-ex1", "--e", "0,2,1"])
+    lines.append(["chi", "--builtin", "a21-ex3", "--e", "1,1,1"])
+    lines.append(["check", "--builtin", "a21-ex3", "--q", "2", "--format", "table"])
+    return lines
+
+
+def run(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return {"exit_code": code, "stdout_sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest()}
+
+
+def test_cli_reports_match_recorded_digests():
+    recorded = json.loads(DIGESTS.read_text())
+    assert [r["argv"] for r in recorded] == command_lines()
+    for record in recorded:
+        assert run(record["argv"]) == {
+            "exit_code": record["exit_code"],
+            "stdout_sha256": record["stdout_sha256"],
+        }, record["argv"]
+
+
+if __name__ == "__main__":
+    records = [{"argv": argv, **run(argv)} for argv in command_lines()]
+    DIGESTS.write_text(json.dumps(records, indent=1) + "\n")
+    print(f"wrote {len(records)} records to {DIGESTS}", file=sys.stderr)

@@ -13,10 +13,11 @@ from qgrass import (
     document_digest,
     emit_builtin,
     parse_document,
-    parse_input,
+    read_document,
     representation_document,
 )
 from qgrass.cli import main
+from conftest import PACKAGE_ROOT
 
 
 def run_cli(capsys, *argv):
@@ -109,13 +110,26 @@ def test_parse_document_diagnostics():
     parse_document(mixed)
 
 
+def test_parse_document_rejects_non_integer_dimensions(capsys, tmp_path):
+    for value in (2.9, True, "2"):
+        doc = emit_builtin("kronecker-reg:2")
+        doc["representation"]["dims"]["1"] = value
+        with pytest.raises(InputError, match="non-integer dimension"):
+            parse_document(doc)
+        path = tmp_path / "dims.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "census", "--input", str(path), "--q", "2")
+        assert (code, out) == (2, "")
+        assert "non-integer dimension" in err
+
+
 def test_parse_input_reports_file_errors(tmp_path):
     with pytest.raises(InputError, match="cannot read"):
-        parse_input(str(tmp_path / "missing.json"))
+        read_document(str(tmp_path / "missing.json"))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(InputError, match="line 1"):
-        parse_input(str(bad))
+        read_document(str(bad))
 
 
 def test_document_digest_is_stable():
@@ -226,6 +240,13 @@ def test_cli_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["check", "tube"])
+def test_cli_full_census_commands_reject_e(capsys, command):
+    code, out, err = run_cli(capsys, command, "--builtin", "a21-ex3", "--q", "2", "--e", "0,1,1")
+    assert (code, out) == (2, "")
+    assert f"--e does not apply to {command}" in err
+
+
 def test_cli_internal_errors_exit_3(capsys, tmp_path):
     # decomposable regular input: ambiguous quasi-socle inside check
     doc = {
@@ -283,22 +304,17 @@ def test_cli_table_format(capsys):
 
 def test_cli_byte_stable_across_processes():
     # different hash seeds must not leak into report ordering
-    import os
     import subprocess
     import sys
 
-    import qgrass
-
-    # the environment is reduced so the hash seed is the only variable; the
-    # child must still import the same qgrass as this process, however found
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(qgrass.__file__)))
+    # the environment is reduced so the hash seed is the only variable
     outputs = []
     for seed in ("0", "4242"):
         proc = subprocess.run(
             [sys.executable, "-m", "qgrass", "check", "--builtin", "a21-ex3", "--q", "2"],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": package_root},
+            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

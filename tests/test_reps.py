@@ -11,6 +11,7 @@ from qgrass import (
     QQ,
     Field,
     InputError,
+    InternalCheckError,
     Matrix,
     Quiver,
     Representation,
@@ -23,7 +24,7 @@ from qgrass import (
     reduce_mod_p,
     sub_quotient,
 )
-from conftest import rep_from_ints
+from conftest import PACKAGE_ROOT, rep_from_ints
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -269,3 +270,33 @@ def test_mismatched_inputs_raise(kronecker, a2):
         hom_ext(m, other)
     with pytest.raises(InputError):
         direct_sum(m, kronecker_regular(F3, 2))
+
+
+def test_euler_identity_violation_raises_internal_check(monkeypatch):
+    import qgrass.reps
+
+    monkeypatch.setattr(qgrass.reps, "euler_form", lambda quiver, d, e: 99)
+    with pytest.raises(InternalCheckError, match="Euler form"):
+        m = kronecker_regular(F2, 1)
+        hom_ext(m, m)
+
+
+def test_euler_identity_is_checked_under_optimize():
+    # the invariant must not be an assert, which python -O strips
+    import subprocess
+    import sys
+
+    script = (
+        "import sys, qgrass.reps, qgrass.cli\n"
+        "qgrass.reps.euler_form = lambda quiver, d, e: 99\n"
+        "sys.exit(qgrass.cli.main(['census', '--builtin', 'kronecker-reg:1', '--q', '2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "internal check failed: InternalCheckError" in proc.stderr
