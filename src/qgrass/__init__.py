@@ -19,6 +19,7 @@ from .census import (
     census,
     counting_polynomial,
     enumerate_subreps,
+    point_counts,
     transverse_homological,
 )
 from .documents import (
@@ -127,6 +128,7 @@ __all__ = [
     "is_subrep",
     "kernel_basis",
     "parse_document",
+    "point_counts",
     "quasi_socle",
     "read_document",
     "reduce_mod_p",

@@ -21,7 +21,7 @@ from itertools import product
 
 from .errors import CountNotPolynomialError, InputError, InternalCheckError
 from .fields import Field, next_prime
-from .linalg import Matrix, SubspaceBasis, _subspaces_cached, kernel_basis, rref
+from .linalg import Matrix, SubspaceBasis, _subspaces_cached, gaussian_binomial, kernel_basis, rref
 from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient
 
 
@@ -112,16 +112,7 @@ def enumerate_subreps(m: Representation, e) -> list[SubrepPoint]:
             out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=e))
             return
         j = order[k]
-        required_rows = []
-        for i, mat in in_arrows[j]:
-            src = chosen[i]
-            for r in range(src.dim):
-                required_rows.append(mat.apply(src.matrix.row(r)))
-        if required_rows:
-            reduced = rref(Matrix.from_rows(m.field, required_rows)).matrix
-            reqs = [row for row in reduced.to_rows() if any(x != 0 for x in row)]
-        else:
-            reqs = []
+        reqs = _required_span(m.field, in_arrows[j], chosen)
         if len(reqs) > e[j]:
             return
         for cand in _subspaces_cached(m.dims[j], e[j], p):
@@ -132,6 +123,75 @@ def enumerate_subreps(m: Representation, e) -> list[SubrepPoint]:
 
     extend(0)
     return out
+
+
+def _required_span(field: Field, in_arrows, chosen) -> list[list]:
+    """RREF rows of W, the span of the images of the chosen in-arrow sources.
+
+    A subspace V_j satisfies every arrow into j exactly when it contains W.
+    """
+    rows = [mat.apply(chosen[i].matrix.row(r)) for i, mat in in_arrows for r in range(chosen[i].dim)]
+    if not rows:
+        return []
+    reduced = rref(Matrix.from_rows(field, rows))
+    return reduced.matrix.to_rows()[: reduced.rank]
+
+
+def point_counts(m: Representation, e=None) -> dict:
+    """|Gr_e(M)(F_q)| for the given e, or for every e <= dims in
+    all_dim_vectors order, from one walk of the subrepresentation tree.
+
+    Non-sink vertices are walked as in enumerate_subreps, every admissible
+    dimension at once.  The last vertex in topological order is a sink, so
+    nothing downstream constrains V_j there: its choices are the subspaces
+    of M_j containing W, and there are gaussian_binomial(d_j - r, k - r) of
+    them for r = dim W.
+    """
+    if e is None:
+        targets = all_dim_vectors(m.dims)
+        ranges = [range(d + 1) for d in m.dims]
+    else:
+        e = m.quiver.check_dim_vector(e)
+        if any(x < 0 or x > d for x, d in zip(e, m.dims)):
+            raise InputError(f"dimension vector {e} out of range for dims {m.dims}")
+        targets = [e]
+        ranges = [(x,) for x in e]
+    if m.field.p is None:
+        raise InputError("subrepresentation enumeration needs a finite field")
+
+    quiver = m.quiver
+    idx = quiver.vertex_index
+    in_arrows = [
+        [(idx[a.source], m.matrices[a.name]) for a in quiver.arrows_into(v)]
+        for v in quiver.vertices
+    ]
+    order = [idx[v] for v in quiver.topological_order]
+    if not order:  # no vertices: the zero representation is the one point
+        return {(): 1}
+    counts = dict.fromkeys(targets, 0)
+    # a module-level recursion, not a closure calling itself: that would be
+    # a reference cycle, freed only by the cyclic collector
+    _count_from(0, m, order, in_arrows, ranges, [None] * quiver.n, [0] * quiver.n, counts)
+    return counts
+
+
+def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts):
+    """Add to counts the points that extend the spaces chosen at order[:pos]."""
+    j = order[pos]
+    reqs = _required_span(m.field, in_arrows[j], chosen)
+    r, d, p = len(reqs), m.dims[j], m.field.p
+    for k in ranges[j]:
+        if k < r:
+            continue
+        e[j] = k
+        if pos == len(order) - 1:
+            counts[tuple(e)] += gaussian_binomial(d - r, k - r, p)
+            continue
+        for cand in _subspaces_cached(d, k, p):
+            if all(cand.contains_vector(w) for w in reqs):
+                chosen[j] = cand
+                _count_from(pos + 1, m, order, in_arrows, ranges, chosen, e, counts)
+    chosen[j] = None
 
 
 def all_dim_vectors(dims) -> list[tuple[int, ...]]:
@@ -174,6 +234,30 @@ class CountingPolynomial:
     samples: tuple
     check_sample: tuple
 
+    @classmethod
+    def from_samples(cls, samples, check_sample) -> "CountingPolynomial":
+        """Interpolate the (q, count) samples and confirm at check_sample.
+
+        A mismatch at the check prime or a non-integer coefficient raises
+        CountNotPolynomialError with the raw counts attached.
+        """
+        samples, check_sample = tuple(samples), tuple(check_sample)
+        coeffs = _lagrange([(Fraction(q), Fraction(c)) for q, c in samples])
+        check_q, check_count = check_sample
+        predicted = sum(c * check_q**i for i, c in enumerate(coeffs))
+        if predicted != check_count or any(c.denominator != 1 for c in coeffs):
+            raise CountNotPolynomialError(
+                f"count not polynomial on sampled range: samples={list(samples)}, "
+                f"check q={check_q} gave {check_count}, interpolation gave {predicted}",
+                samples=samples,
+                check_sample=check_sample,
+            )
+        return cls(
+            coefficients=tuple(int(c) for c in coeffs),
+            samples=samples,
+            check_sample=check_sample,
+        )
+
     @property
     def degree(self) -> int:
         return max(len(self.coefficients) - 1, 0)
@@ -203,8 +287,7 @@ def counting_polynomial(m: Representation, e, q_list) -> CountingPolynomial:
     """Interpolate point counts of Gr_e over the sampled primes.
 
     One extra prime (the smallest one past the samples) is counted and
-    compared against the interpolation; a mismatch or a non-integer
-    coefficient raises CountNotPolynomialError with the raw counts attached.
+    compared against the interpolation; see CountingPolynomial.from_samples.
     """
     if not m.field.is_rationals:
         raise InputError("counting_polynomial expects a representation over the rationals")
@@ -212,26 +295,9 @@ def counting_polynomial(m: Representation, e, q_list) -> CountingPolynomial:
     if len(set(q_list)) != len(q_list) or not q_list:
         raise InputError("need a nonempty list of distinct primes")
     e = m.quiver.check_dim_vector(e)
-
-    samples = tuple((q, len(enumerate_subreps(reduce_mod_p(m, q), e))) for q in q_list)
-    coeffs = _lagrange([(Fraction(q), Fraction(c)) for q, c in samples])
-
     check_q = next_prime(max(q_list))
-    check = (check_q, len(enumerate_subreps(reduce_mod_p(m, check_q), e)))
-
-    predicted = sum(c * check_q**i for i, c in enumerate(coeffs))
-    if predicted != check[1] or any(c.denominator != 1 for c in coeffs):
-        raise CountNotPolynomialError(
-            f"count not polynomial on sampled range: samples={list(samples)}, "
-            f"check q={check[0]} gave {check[1]}, interpolation gave {predicted}",
-            samples=samples,
-            check_sample=check,
-        )
-    return CountingPolynomial(
-        coefficients=tuple(int(c) for c in coeffs),
-        samples=samples,
-        check_sample=check,
-    )
+    samples = [(q, point_counts(reduce_mod_p(m, q), e)[e]) for q in [*q_list, check_q]]
+    return CountingPolynomial.from_samples(samples[:-1], samples[-1])
 
 
 def brute_force_subreps(m: Representation, e) -> list[SubrepPoint]:

@@ -16,10 +16,10 @@ import time
 
 from . import __version__
 from .builtin import emit_builtin
-from .census import all_dim_vectors, census, counting_polynomial, transverse_homological
+from .census import CountingPolynomial, census, point_counts, transverse_homological
 from .documents import document_digest, parse_document, read_document
 from .errors import InputError, InternalCheckError
-from .fields import is_prime
+from .fields import is_prime, next_prime
 from .quiver import compute_euler_data, euler_form
 from .reps import is_rigid, reduce_mod_p
 from .tubes import (
@@ -175,12 +175,15 @@ def _run_command(args) -> int:
         return EXIT_OK if comparison.verdict else EXIT_COUNTEREXAMPLE
 
     if args.command == "chi":
-        targets = [e_sel] if e_sel is not None else all_dim_vectors(rep.dims)
+        # one walk per prime counts every slice; the last prime checks the interpolation
+        primes = [*q_list, next_prime(max(q_list))]
+        counts = [point_counts(reduce_mod_p(rep, q), e_sel) for q in primes]
         results = []
         failed = False
-        for e in targets:
+        for e in counts[0]:
+            samples = [(q, by_e[e]) for q, by_e in zip(primes, counts)]
             try:
-                poly = counting_polynomial(rep, e, q_list)
+                poly = CountingPolynomial.from_samples(samples[:-1], samples[-1])
             except InternalCheckError as exc:
                 failed = True
                 results.append({"e": list(e), "error": str(exc)})
@@ -209,7 +212,10 @@ def _load_document(args):
     document = read_document(args.input)
     name = None
     if isinstance(document, dict):
-        name = (document.get("metadata") or {}).get("name")
+        metadata = document.get("metadata")
+        if metadata is not None and not isinstance(metadata, dict):
+            raise InputError("'metadata' must be a JSON object")
+        name = (metadata or {}).get("name")
     return document, name
 
 

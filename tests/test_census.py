@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from qgrass import (
     CountNotPolynomialError,
     Field,
     InputError,
+    Quiver,
     Representation,
     SubspaceBasis,
     all_dim_vectors,
@@ -18,6 +21,7 @@ from qgrass import (
     euler_form,
     is_rigid,
     is_subrep,
+    point_counts,
     reduce_mod_p,
     transverse_homological,
 )
@@ -183,6 +187,38 @@ def test_enumerate_rejects_out_of_range():
     _, rep = modp("kronecker-reg:2", 2)
     with pytest.raises(InputError):
         enumerate_subreps(rep, (3, 0))
+
+
+@pytest.mark.parametrize(
+    "name, q",
+    [(name, q) for name in [*BATTERY, "kronecker-preproj:1"] for q in (2, 3)] + [("a21-ex1", 5)],
+)
+def test_point_counts_match_enumeration(name, q):
+    # the count-only walk against the enumerating one, slice by slice
+    _, rep = modp(name, q)
+    counts = point_counts(rep)
+    assert list(counts) == all_dim_vectors(rep.dims)
+    for e, count in counts.items():
+        assert count == len(enumerate_subreps(rep, e)), e
+        assert point_counts(rep, e) == {e: count}
+
+
+def test_point_counts_of_the_empty_quiver():
+    rep = Representation(Quiver([], []), F2, (), {})
+    assert len(enumerate_subreps(rep, ())) == 1
+    assert point_counts(rep) == point_counts(rep, ()) == {(): 1}
+
+
+def test_point_counts_rejects_what_enumeration_rejects():
+    _, rep = modp("kronecker-reg:2", 2)
+    _, rational = builtin_rep("kronecker-reg:2")
+    for m, e in ((rep, (3, 0)), (rep, (0, -1)), (rational, (1, 1))):
+        with pytest.raises(InputError) as expected:
+            enumerate_subreps(m, e)
+        with pytest.raises(InputError, match=f"^{re.escape(str(expected.value))}$"):
+            point_counts(m, e)
+    with pytest.raises(InputError, match="needs a finite field"):
+        point_counts(rational)
 
 
 def test_point_counts_respect_duality():

@@ -27,7 +27,7 @@ DIGESTS = Path(__file__).with_name("cli_digests.json")
 def command_lines() -> list[list[str]]:
     lines = [
         [command, "--builtin", name, "--q", "2,3"]
-        for command in ("census", "transverse", "tube", "check")
+        for command in ("census", "transverse", "tube", "check", "chi")
         for name in [*BATTERY, "kronecker-preproj:1"]
     ]
     lines.append(["chi", "--builtin", "a21-ex1", "--e", "0,2,1"])

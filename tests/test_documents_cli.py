@@ -123,6 +123,17 @@ def test_parse_document_rejects_non_integer_dimensions(capsys, tmp_path):
         assert "non-integer dimension" in err
 
 
+def test_cli_rejects_metadata_that_is_not_an_object(capsys, tmp_path):
+    for value in ("x", 1):
+        doc = emit_builtin("kronecker-reg:1")
+        doc["metadata"] = value
+        path = tmp_path / "metadata.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "census", "--input", str(path), "--q", "2")
+        assert (code, out) == (2, "")
+        assert "'metadata' must be a JSON object" in err
+
+
 def test_parse_input_reports_file_errors(tmp_path):
     with pytest.raises(InputError, match="cannot read"):
         read_document(str(tmp_path / "missing.json"))
