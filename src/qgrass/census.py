@@ -21,7 +21,15 @@ from itertools import product
 
 from .errors import CountNotPolynomialError, InputError, InternalCheckError
 from .fields import Field, next_prime
-from .linalg import Matrix, SubspaceBasis, _subspaces_cached, gaussian_binomial, kernel_basis, rref
+from .linalg import (
+    Matrix,
+    SubspaceBasis,
+    _subspaces_cached,
+    gaussian_binomial,
+    kernel_basis,
+    rref,
+    subspaces_containing,
+)
 from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient
 
 
@@ -112,7 +120,7 @@ def enumerate_subreps(m: Representation, e) -> list[SubrepPoint]:
             out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=e))
             return
         j = order[k]
-        reqs = _required_span(m.field, in_arrows[j], chosen)
+        reqs, _ = _required_span(m.field, in_arrows[j], chosen)
         if len(reqs) > e[j]:
             return
         for cand in _subspaces_cached(m.dims[j], e[j], p):
@@ -125,27 +133,29 @@ def enumerate_subreps(m: Representation, e) -> list[SubrepPoint]:
     return out
 
 
-def _required_span(field: Field, in_arrows, chosen) -> list[list]:
-    """RREF rows of W, the span of the images of the chosen in-arrow sources.
+def _required_span(field: Field, in_arrows, chosen) -> tuple[list[list], tuple]:
+    """RREF rows and pivot columns of W, the span of the images of the
+    chosen in-arrow sources.
 
     A subspace V_j satisfies every arrow into j exactly when it contains W.
     """
     rows = [mat.apply(chosen[i].matrix.row(r)) for i, mat in in_arrows for r in range(chosen[i].dim)]
     if not rows:
-        return []
+        return [], ()
     reduced = rref(Matrix.from_rows(field, rows))
-    return reduced.matrix.to_rows()[: reduced.rank]
+    return reduced.matrix.to_rows()[: reduced.rank], reduced.pivots
 
 
 def point_counts(m: Representation, e=None) -> dict:
     """|Gr_e(M)(F_q)| for the given e, or for every e <= dims in
     all_dim_vectors order, from one walk of the subrepresentation tree.
 
-    Non-sink vertices are walked as in enumerate_subreps, every admissible
-    dimension at once.  The last vertex in topological order is a sink, so
-    nothing downstream constrains V_j there: its choices are the subspaces
-    of M_j containing W, and there are gaussian_binomial(d_j - r, k - r) of
-    them for r = dim W.
+    Each vertex j takes every admissible dimension k at once, and its
+    choices are the k-dimensional subspaces of M_j containing W, r = dim W.
+    At a non-sink vertex they are listed by subspaces_containing, from the
+    Schubert cells of M_j / W.  The last vertex in topological order is a
+    sink, so nothing downstream constrains V_j there, and they are counted:
+    there are gaussian_binomial(d_j - r, k - r) of them.
     """
     if e is None:
         targets = all_dim_vectors(m.dims)
@@ -178,7 +188,7 @@ def point_counts(m: Representation, e=None) -> dict:
 def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts):
     """Add to counts the points that extend the spaces chosen at order[:pos]."""
     j = order[pos]
-    reqs = _required_span(m.field, in_arrows[j], chosen)
+    reqs, pivots = _required_span(m.field, in_arrows[j], chosen)
     r, d, p = len(reqs), m.dims[j], m.field.p
     for k in ranges[j]:
         if k < r:
@@ -187,10 +197,9 @@ def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts):
         if pos == len(order) - 1:
             counts[tuple(e)] += gaussian_binomial(d - r, k - r, p)
             continue
-        for cand in _subspaces_cached(d, k, p):
-            if all(cand.contains_vector(w) for w in reqs):
-                chosen[j] = cand
-                _count_from(pos + 1, m, order, in_arrows, ranges, chosen, e, counts)
+        for cand in subspaces_containing(d, k, p, reqs, pivots):
+            chosen[j] = cand
+            _count_from(pos + 1, m, order, in_arrows, ranges, chosen, e, counts)
     chosen[j] = None
 
 
@@ -328,7 +337,10 @@ def brute_force_subreps(m: Representation, e) -> list[SubrepPoint]:
                 continue
             if side != k:
                 basis = SubspaceBasis.from_matrix(m.field, kernel_basis(basis.matrix))
-                assert basis.dim == k
+                if basis.dim != k:
+                    raise InternalCheckError(
+                        f"annihilator of a {side}-space of F^{d} has dimension {basis.dim}"
+                    )
             seen.setdefault(basis.sort_key(), basis)
         per_vertex.append([seen[key] for key in sorted(seen)])
 

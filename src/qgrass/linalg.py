@@ -12,7 +12,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from typing import NamedTuple
 
-from .errors import InputError
+from .errors import InputError, InternalCheckError
 from .fields import Field
 
 
@@ -345,6 +345,47 @@ def enumerate_subspaces(ambient_dim: int, dim: int, field: Field) -> list[Subspa
     return list(_subspaces_cached(ambient_dim, dim, field.p))
 
 
+def subspaces_containing(ambient_dim: int, dim: int, p: int, w_rows, w_pivots) -> list[SubspaceBasis]:
+    """The dim-dimensional subspaces of F_p^ambient_dim that contain W, in
+    SubspaceBasis.sort_key order, so the same list as the cells of
+    _subspaces_cached(ambient_dim, dim, p) that contain W.
+
+    w_rows are W's RREF rows and w_pivots their pivot columns; dim must be
+    at least r = dim W.  The cells of Gr(dim - r, ambient_dim - r), put on
+    the non-pivot columns of W, are the subspaces of F_p^ambient_dim / W.
+    Each is lifted, and W's entries at its pivot columns are cleared, which
+    gives the RREF of its preimage without scanning the other cells.
+    """
+    r = len(w_rows)
+    if r == 0:
+        return list(_subspaces_cached(ambient_dim, dim, p))
+    field = Field.prime(p)
+    free = [c for c in range(ambient_dim) if c not in w_pivots]
+    width = ambient_dim - r
+    out = []
+    for cell in _subspaces_cached(width, dim - r, p):
+        lifted = []
+        for i, pc in enumerate(cell.pivots):
+            row = [0] * ambient_dim
+            for c, x in zip(free, cell.matrix.entries[i * width : (i + 1) * width]):
+                row[c] = x
+            lifted.append((free[pc], row))
+        by_pivot = dict(lifted)
+        for pc, w in zip(w_pivots, w_rows):
+            for c, u in lifted:
+                g = w[c]
+                if g:
+                    w = [(x - g * y) % p for x, y in zip(w, u)]
+            by_pivot[pc] = w
+        pivots = sorted(by_pivot)
+        flat = [x for pc in pivots for x in by_pivot[pc]]
+        out.append(SubspaceBasis(field, Matrix(field, dim, ambient_dim, flat), pivots))
+    # a cleared row of W depends on the cell's free entries, so only the
+    # pivot order of the cells carries over, not their odometer order
+    out.sort(key=SubspaceBasis.sort_key)
+    return out
+
+
 def gaussian_binomial(d: int, e: int, q: int) -> int:
     """Number of e-dimensional subspaces of F_q^d."""
     if not 0 <= e <= d:
@@ -356,5 +397,6 @@ def gaussian_binomial(d: int, e: int, q: int) -> int:
     for i in range(e):
         num *= q ** (d - i) - 1
         den *= q ** (e - i) - 1
-    assert num % den == 0
+    if num % den:
+        raise InternalCheckError(f"Gaussian binomial [{d} choose {e}]_{q} is not an integer")
     return num // den

@@ -237,5 +237,6 @@ def _check_spaces(m: Representation, spaces) -> tuple[SubspaceBasis, ...]:
 
 
 def _from_columns(field: Field, rows: int, cols: int, columns) -> Matrix:
-    assert len(columns) == cols and all(len(c) == rows for c in columns)
+    if len(columns) != cols or any(len(c) != rows for c in columns):
+        raise InternalCheckError(f"columns do not form a {rows}x{cols} matrix")
     return Matrix(field, rows, cols, [columns[c][r] for r in range(rows) for c in range(cols)])

@@ -5,6 +5,8 @@ from __future__ import annotations
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrass import (
     CountNotPolynomialError,
@@ -25,7 +27,7 @@ from qgrass import (
     reduce_mod_p,
     transverse_homological,
 )
-from conftest import BATTERY, builtin_rep
+from conftest import BATTERY, builtin_rep, rep_from_ints
 
 F2 = Field.prime(2)
 
@@ -201,6 +203,41 @@ def test_point_counts_match_enumeration(name, q):
     for e, count in counts.items():
         assert count == len(enumerate_subreps(rep, e)), e
         assert point_counts(rep, e) == {e: count}
+
+
+# Kronecker, the affine A~_{2,1} quiver, and a quiver whose non-sink vertex 3
+# has two in-arrows, so the walk lifts cells of M_3 / W with W a sum of images
+RANDOM_QUIVERS = [
+    Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]),
+    Quiver(["1", "2", "3"], [("a12", "1", "2"), ("a23", "2", "3"), ("a13", "1", "3")]),
+    Quiver(["1", "2", "3", "4"], [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")]),
+]
+
+
+@st.composite
+def small_reps(draw):
+    quiver = draw(st.sampled_from(RANDOM_QUIVERS))
+    q = draw(st.sampled_from((2, 3)))
+    # at most 3 per vertex keeps brute_force_subreps fast; 8 is its guard
+    dims = draw(
+        st.lists(st.integers(0, 3), min_size=quiver.n, max_size=quiver.n).filter(
+            lambda d: sum(d) <= 8
+        )
+    )
+    idx = quiver.vertex_index
+    matrices = {}
+    for a in quiver.arrows:
+        rows, cols = dims[idx[a.target]], dims[idx[a.source]]
+        row = st.lists(st.integers(0, q - 1), min_size=cols, max_size=cols)
+        matrices[a.name] = draw(st.lists(row, min_size=rows, max_size=rows))
+    return rep_from_ints(quiver, Field.prime(q), dims, matrices)
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(small_reps())
+def test_point_counts_match_brute_force_on_random_representations(m):
+    for e, count in point_counts(m).items():
+        assert count == len(brute_force_subreps(m, e)), (m.dims, e)
 
 
 def test_point_counts_of_the_empty_quiver():

@@ -19,6 +19,7 @@ from qgrass import (
     kernel_basis,
     rref,
 )
+from qgrass.linalg import _subspaces_cached, subspaces_containing
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -181,6 +182,23 @@ def test_enumeration_yields_canonical_distinct_spaces():
         for i, a in enumerate(spaces):
             for b in spaces[i + 1 :]:
                 assert not (a.contains(b) and b.contains(a))
+
+
+def test_subspaces_containing_is_the_filtered_enumeration():
+    # every W and every dim >= dim W: the lifted cells of M/W must be the
+    # cells of the full enumeration that contain W, in the same order
+    cases = 0
+    for p, max_d in ((2, 4), (3, 3)):
+        for d in range(max_d + 1):
+            for r in range(d + 1):
+                for w in _subspaces_cached(d, r, p):
+                    for k in range(r, d + 1):
+                        want = [c for c in _subspaces_cached(d, k, p) if c.contains(w)]
+                        got = subspaces_containing(d, k, p, w.matrix.to_rows(), w.pivots)
+                        assert got == want, (p, d, k, w)
+                        assert [c.pivots for c in got] == [c.pivots for c in want]
+                        cases += 1
+    assert cases == 341
 
 
 def test_enumerate_rejects_bad_dimensions():

@@ -300,3 +300,17 @@ def test_euler_identity_is_checked_under_optimize():
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
     assert "internal check failed: InternalCheckError" in proc.stderr
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so an invariant check written as one vanishes
+    import ast
+    import pathlib
+
+    import qgrass
+
+    found = []
+    for path in sorted(pathlib.Path(qgrass.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert found == []
