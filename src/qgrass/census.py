@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .errors import CountNotPolynomialError, InputError, InternalCheckError
@@ -29,6 +30,7 @@ from .linalg import (
     kernel_basis,
     rref,
     subspaces_containing,
+    subspaces_meeting,
 )
 from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient
 
@@ -155,7 +157,9 @@ def point_counts(m: Representation, e=None) -> dict:
     At a non-sink vertex they are listed by subspaces_containing, from the
     Schubert cells of M_j / W.  The last vertex in topological order is a
     sink, so nothing downstream constrains V_j there, and they are counted:
-    there are gaussian_binomial(d_j - r, k - r) of them.
+    there are gaussian_binomial(d_j - r, k - r) of them.  When the vertex
+    before it has at most one arrow into it, the two are counted together
+    (_count_last_two); two or more parallel arrows take the listing path.
     """
     if e is None:
         targets = all_dim_vectors(m.dims)
@@ -190,6 +194,11 @@ def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts):
     j = order[pos]
     reqs, pivots = _required_span(m.field, in_arrows[j], chosen)
     r, d, p = len(reqs), m.dims[j], m.field.p
+    if pos == len(order) - 2:
+        into_sink = [mat for i, mat in in_arrows[order[-1]] if i == j]
+        if len(into_sink) <= 1:
+            _count_last_two(m, j, order[-1], into_sink, in_arrows, ranges, chosen, e, counts, reqs)
+            return
     for k in ranges[j]:
         if k < r:
             continue
@@ -201,6 +210,52 @@ def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts):
             chosen[j] = cand
             _count_from(pos + 1, m, order, in_arrows, ranges, chosen, e, counts)
     chosen[j] = None
+
+
+def _count_last_two(m, j, sink, into_sink, in_arrows, ranges, chosen, e, counts, w_rows):
+    """Add to counts the points at j = order[-2] and the sink in closed form.
+
+    Every out-arrow of j goes to the sink, and there is at most one, b.
+    With A the span at the sink of the images from the other sources and
+    f = M_b mod A : M_j -> M_sink / A (f = 0 without b), a choice V_j
+    leaves the sink dim A + dim f(V_j) = dim A + k - dim(V_j ∩ K) to
+    contain, K = ker f.  V_j contains W = W_j, so V_j / W is a
+    (k - r)-subspace of M_j / W and meets (K + W) / W in dimension
+    i = dim(V_j ∩ K) - dim(W ∩ K); subspaces_meeting counts each i.
+    """
+    field, p = m.field, m.field.p
+    d, r, d_sink = m.dims[j], len(w_rows), m.dims[sink]
+    a_rows, _ = _required_span(field, [(i, mat) for i, mat in in_arrows[sink] if i != j], chosen)
+    a = len(a_rows)
+    rank_f = f_of_w = 0
+    if into_sink:
+        b = into_sink[0]
+        rank_f = _rank(field, a_rows + b.transpose().to_rows()) - a
+        f_of_w = _rank(field, a_rows + [b.apply(w) for w in w_rows]) - a
+    w_in_ker = r - f_of_w
+    meet_ambient = d - rank_f - w_in_ker  # dim (K + W) / W
+    for k in ranges[j]:
+        if k < r:
+            continue
+        e[j] = k
+        ways = [subspaces_meeting(d - r, k - r, meet_ambient, i, p) for i in range(k - r + 1)]
+        if sum(ways) != gaussian_binomial(d - r, k - r, p):
+            raise InternalCheckError(
+                f"closed-form count at vertex {j} gave {sum(ways)} subspaces of "
+                f"F_{p}^{d - r} of dimension {k - r}"
+            )
+        for i, n in enumerate(ways):
+            if not n:
+                continue
+            r_sink = a + k - w_in_ker - i
+            for k_sink in ranges[sink]:
+                if k_sink >= r_sink:
+                    e[sink] = k_sink
+                    counts[tuple(e)] += n * gaussian_binomial(d_sink - r_sink, k_sink - r_sink, p)
+
+
+def _rank(field: Field, rows) -> int:
+    return rref(Matrix.from_rows(field, rows)).rank if rows else 0
 
 
 def all_dim_vectors(dims) -> list[tuple[int, ...]]:
@@ -353,22 +408,28 @@ def brute_force_subreps(m: Representation, e) -> list[SubrepPoint]:
 
 def _lagrange(points) -> list[Fraction]:
     """Coefficients (ascending) of the interpolating polynomial."""
-    coeffs = [Fraction(0)] * len(points)
-    for i, (xi, yi) in enumerate(points):
-        # basis polynomial prod_{j != i} (x - xj) / (xi - xj)
+    bases = _lagrange_basis(tuple(x for x, _ in points))
+    coeffs = [sum(y * basis[k] for (_, y), basis in zip(points, bases)) for k in range(len(points))]
+    while len(coeffs) > 1 and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+@lru_cache(maxsize=None)
+def _lagrange_basis(xs: tuple) -> tuple:
+    """Ascending coefficients of each basis polynomial
+    prod_{j != i} (x - xj) / (xi - xj); every slice shares the sample primes."""
+    bases = []
+    for i, xi in enumerate(xs):
         basis = [Fraction(1)]
         denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
+        for j, xj in enumerate(xs):
             if j == i:
                 continue
             basis = _poly_mul(basis, [-xj, Fraction(1)])
             denom *= xi - xj
-        scale = yi / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+        bases.append(tuple(c / denom for c in basis))
+    return tuple(bases)
 
 
 def _poly_mul(a, b):

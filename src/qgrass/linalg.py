@@ -400,3 +400,18 @@ def gaussian_binomial(d: int, e: int, q: int) -> int:
     if num % den:
         raise InternalCheckError(f"Gaussian binomial [{d} choose {e}]_{q} is not an integer")
     return num // den
+
+
+def subspaces_meeting(d: int, e: int, m: int, i: int, q: int) -> int:
+    """Number of e-dimensional subspaces U of F_q^d that meet a fixed
+    m-dimensional subspace K in dimension i.
+
+    U ∩ K is one of the [m, i] i-subspaces of K, and U / (U ∩ K) is an
+    (e - i)-subspace of F_q^d / (U ∩ K) meeting K / (U ∩ K) in 0: there are
+    q^((e - i)(m - i)) [d - m, e - i] of those (Schubert cells).
+    """
+    if not (0 <= e <= d and 0 <= m <= d):
+        raise InputError(f"requires 0 <= e, m <= d, got e={e}, m={m}, d={d}")
+    if not (0 <= i <= min(e, m) and e - i <= d - m):
+        return 0
+    return q ** ((e - i) * (m - i)) * gaussian_binomial(m, i, q) * gaussian_binomial(d - m, e - i, q)

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import importlib
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qgrass import (
     CountNotPolynomialError,
     Field,
     InputError,
+    InternalCheckError,
     Quiver,
     Representation,
     SubspaceBasis,
@@ -205,13 +207,29 @@ def test_point_counts_match_enumeration(name, q):
         assert point_counts(rep, e) == {e: count}
 
 
-# Kronecker, the affine A~_{2,1} quiver, and a quiver whose non-sink vertex 3
-# has two in-arrows, so the walk lifts cells of M_3 / W with W a sum of images
+# The vertex before the sink is counted in closed form when it has at most
+# one arrow into the sink, and its children are listed when it has two:
+# Kronecker (two arrows, W = 0), the affine A~_{2,1} quiver (one arrow, A != 0),
+# a quiver whose vertex 3 has two in-arrows, so the walk lifts cells of
+# M_3 / W with W a sum of images (one arrow, A = 0), 1 -> 2, 1 -> 3 (no arrow,
+# A != 0) and 1 -> 2, 2 => 3 (two arrows, W != 0)
 RANDOM_QUIVERS = [
     Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")]),
     Quiver(["1", "2", "3"], [("a12", "1", "2"), ("a23", "2", "3"), ("a13", "1", "3")]),
     Quiver(["1", "2", "3", "4"], [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")]),
+    Quiver(["1", "2", "3"], [("a12", "1", "2"), ("a13", "1", "3")]),
+    Quiver(["1", "2", "3"], [("a12", "1", "2"), ("b", "2", "3"), ("c", "2", "3")]),
 ]
+
+
+def test_random_quivers_draw_every_case_before_the_sink():
+    arrows_before_sink = []
+    for quiver in RANDOM_QUIVERS:
+        order = quiver.topological_order
+        assert order == quiver.vertices
+        before, sink = order[-2:]
+        arrows_before_sink.append(sum(a.source == before for a in quiver.arrows_into(sink)))
+    assert arrows_before_sink == [2, 1, 1, 0, 2]
 
 
 @st.composite
@@ -233,11 +251,36 @@ def small_reps(draw):
     return rep_from_ints(quiver, Field.prime(q), dims, matrices)
 
 
-@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(small_reps())
+# V_2 free to meet the kernel or not, with A != 0 and with two arrows
+@example(rep_from_ints(RANDOM_QUIVERS[3], Field.prime(3), (2, 2, 2), {
+    "a12": [[1, 0], [0, 0]], "a13": [[1, 1], [0, 1]],
+}))
+@example(rep_from_ints(RANDOM_QUIVERS[4], F2, (1, 2, 2), {
+    "a12": [[1], [0]], "b": [[1, 0], [0, 1]], "c": [[0, 1], [0, 0]],
+}))
 def test_point_counts_match_brute_force_on_random_representations(m):
     for e, count in point_counts(m).items():
         assert count == len(brute_force_subreps(m, e)), (m.dims, e)
+
+
+def test_closed_form_count_checks_its_subspace_total(monkeypatch):
+    # the ways over every intersection dimension must add up to the number
+    # of children the walk would list; a wrong count is an internal error
+    module = importlib.import_module("qgrass.census")
+    monkeypatch.setattr(module, "subspaces_meeting", lambda d, e, m, i, q: 1)
+    _, rep = modp("a21-ex1", 2)
+    with pytest.raises(InternalCheckError, match="closed-form count at vertex"):
+        point_counts(rep)
+
+
+def test_census_module_is_reached_through_import_module():
+    # the package binds the function census over the submodule's name
+    import qgrass
+
+    assert importlib.import_module("qgrass.census").point_counts is qgrass.point_counts
+    assert qgrass.census is importlib.import_module("qgrass.census").census
 
 
 def test_point_counts_of_the_empty_quiver():

@@ -19,7 +19,7 @@ from qgrass import (
     kernel_basis,
     rref,
 )
-from qgrass.linalg import _subspaces_cached, subspaces_containing
+from qgrass.linalg import _subspaces_cached, subspaces_containing, subspaces_meeting
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -199,6 +199,30 @@ def test_subspaces_containing_is_the_filtered_enumeration():
                         assert [c.pivots for c in got] == [c.pivots for c in want]
                         cases += 1
     assert cases == 341
+
+
+def test_subspaces_meeting_counts_the_enumerated_cells():
+    # every K, every dim k and every i: count the k-cells U with
+    # dim(U ∩ K) = i by rank, dim(U ∩ K) = k + dim K - dim(U + K)
+    cases = 0
+    for p, max_d in ((2, 4), (3, 3)):
+        field = Field.prime(p)
+        for d in range(max_d + 1):
+            for m in range(d + 1):
+                for sub in _subspaces_cached(d, m, p):
+                    for k in range(d + 1):
+                        meets = [0] * (k + 1)
+                        for cell in _subspaces_cached(d, k, p):
+                            rows = sub.matrix.to_rows() + cell.matrix.to_rows()
+                            span = rref(Matrix.from_rows(field, rows)).rank if rows else 0
+                            meets[k + m - span] += 1
+                        for i in range(k + 1):
+                            assert subspaces_meeting(d, k, m, i, p) == meets[i], (p, d, k, sub, i)
+                            cases += 1
+    assert cases == 1525
+    assert subspaces_meeting(3, 1, 2, 2, 2) == 0
+    with pytest.raises(InputError):
+        subspaces_meeting(2, 3, 1, 0, 2)
 
 
 def test_enumerate_rejects_bad_dimensions():
