@@ -93,46 +93,72 @@ class CensusReport:
         return sum(1 for entry in self.all_entries() if entry.homologically_transverse)
 
 
-def enumerate_subreps(m: Representation, e) -> list[SubrepPoint]:
-    """All e-dimensional subrepresentation points, in deterministic order.
+def enumerate_subreps(m: Representation, e=None) -> list[SubrepPoint]:
+    """The e-dimensional subrepresentation points, or for e = None those of
+    every e <= dims, from one walk of the subrepresentation tree.
 
-    The order is the product order of the per-vertex subspace enumeration,
-    nested along the quiver's topological vertex order.
+    The walk takes the vertices in topological order.  At each vertex j it
+    tries every admissible dimension k in increasing order, then the Schubert
+    cells of Gr(k, d_j) that contain W, the span of the in-arrow images, in
+    SubspaceBasis.sort_key order.  So the points come out sorted by their
+    per-vertex sort keys along the topological order, and each e's points
+    in the same order as enumerate_subreps(m, e).
     """
-    e = m.quiver.check_dim_vector(e)
-    if any(x < 0 or x > d for x, d in zip(e, m.dims)):
-        raise InputError(f"dimension vector {e} out of range for dims {m.dims}")
+    targets, ranges, order, in_arrows = _walk_plan(m, e)
+    out: list[SubrepPoint] = []
+    # a module-level recursion, not a closure calling itself: that would be
+    # a reference cycle, freed only by the cyclic collector
+    _subreps_from(
+        0, m, order, in_arrows, ranges, [None] * m.quiver.n, [0] * m.quiver.n,
+        {t: t for t in targets}, out,
+    )
+    return out
+
+
+def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, dim_vectors, out):
+    """Append to out the points that extend the spaces chosen at order[:pos].
+
+    dim_vectors maps each target e to itself, so that every point of a
+    slice shares one dim_vector tuple.
+    """
+    if pos == len(order):
+        out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=dim_vectors[tuple(e)]))
+        return
+    j = order[pos]
+    reqs, _ = _required_span(m.field, in_arrows[j], chosen)
+    for k in ranges[j]:
+        if k < len(reqs):
+            continue
+        e[j] = k
+        for cand in _subspaces_cached(m.dims[j], k, m.field.p):
+            if all(cand.contains_vector(w) for w in reqs):
+                chosen[j] = cand
+                _subreps_from(pos + 1, m, order, in_arrows, ranges, chosen, e, dim_vectors, out)
+    chosen[j] = None
+
+
+def _walk_plan(m: Representation, e):
+    """Targets, per-vertex dimension ranges, topological order and in-arrows
+    of a walk over the given e, or over every e <= dims for e = None."""
+    if e is None:
+        targets = all_dim_vectors(m.dims)
+        ranges = [range(d + 1) for d in m.dims]
+    else:
+        e = m.quiver.check_dim_vector(e)
+        if any(x < 0 or x > d for x, d in zip(e, m.dims)):
+            raise InputError(f"dimension vector {e} out of range for dims {m.dims}")
+        targets = [e]
+        ranges = [(x,) for x in e]
     if m.field.p is None:
         raise InputError("subrepresentation enumeration needs a finite field")
-
     quiver = m.quiver
     idx = quiver.vertex_index
     order = [idx[v] for v in quiver.topological_order]
-    p = m.field.p
     in_arrows = [
         [(idx[a.source], m.matrices[a.name]) for a in quiver.arrows_into(v)]
         for v in quiver.vertices
     ]
-
-    chosen: list = [None] * quiver.n
-    out: list[SubrepPoint] = []
-
-    def extend(k: int):
-        if k == len(order):
-            out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=e))
-            return
-        j = order[k]
-        reqs, _ = _required_span(m.field, in_arrows[j], chosen)
-        if len(reqs) > e[j]:
-            return
-        for cand in _subspaces_cached(m.dims[j], e[j], p):
-            if all(cand.contains_vector(w) for w in reqs):
-                chosen[j] = cand
-                extend(k + 1)
-        chosen[j] = None
-
-    extend(0)
-    return out
+    return targets, ranges, order, in_arrows
 
 
 def _required_span(field: Field, in_arrows, chosen) -> tuple[list[list], tuple]:
@@ -161,31 +187,13 @@ def point_counts(m: Representation, e=None) -> dict:
     before it has at most one arrow into it, the two are counted together
     (_count_last_two); two or more parallel arrows take the listing path.
     """
-    if e is None:
-        targets = all_dim_vectors(m.dims)
-        ranges = [range(d + 1) for d in m.dims]
-    else:
-        e = m.quiver.check_dim_vector(e)
-        if any(x < 0 or x > d for x, d in zip(e, m.dims)):
-            raise InputError(f"dimension vector {e} out of range for dims {m.dims}")
-        targets = [e]
-        ranges = [(x,) for x in e]
-    if m.field.p is None:
-        raise InputError("subrepresentation enumeration needs a finite field")
-
-    quiver = m.quiver
-    idx = quiver.vertex_index
-    in_arrows = [
-        [(idx[a.source], m.matrices[a.name]) for a in quiver.arrows_into(v)]
-        for v in quiver.vertices
-    ]
-    order = [idx[v] for v in quiver.topological_order]
+    targets, ranges, order, in_arrows = _walk_plan(m, e)
     if not order:  # no vertices: the zero representation is the one point
         return {(): 1}
     counts = dict.fromkeys(targets, 0)
     # a module-level recursion, not a closure calling itself: that would be
     # a reference cycle, freed only by the cyclic collector
-    _count_from(0, m, order, in_arrows, ranges, [None] * quiver.n, [0] * quiver.n, counts)
+    _count_from(0, m, order, in_arrows, ranges, [None] * m.quiver.n, [0] * m.quiver.n, counts)
     return counts
 
 
@@ -267,14 +275,12 @@ def census(m: Representation, e=None) -> CensusReport:
     """Per-point homological census; e = None means every e <= dims."""
     complete = e is None
     targets = all_dim_vectors(m.dims) if complete else [m.quiver.check_dim_vector(e)]
-    entries_by_e: dict = {}
-    for target in targets:
-        entries = []
-        for point in enumerate_subreps(m, target):
-            sub, quot = sub_quotient(m, point.spaces)
-            he = hom_ext(sub, quot)
-            entries.append(CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim))
-        entries_by_e[target] = entries
+    entries_by_e: dict = {target: [] for target in targets}
+    for point in enumerate_subreps(m, e):
+        sub, quot = sub_quotient(m, point.spaces)
+        he = hom_ext(sub, quot)
+        entry = CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim)
+        entries_by_e[point.dim_vector].append(entry)
     report = CensusReport(rep=m, entries_by_e=entries_by_e, complete=complete)
     if complete and not (len(report.entries((0,) * m.quiver.n)) == len(report.entries(m.dims)) == 1):
         raise InternalCheckError("a full census needs exactly one point at e = 0 and one at e = dims")

@@ -16,6 +16,7 @@ from qgrass import (
     InternalCheckError,
     Quiver,
     Representation,
+    SubrepPoint,
     SubspaceBasis,
     all_dim_vectors,
     brute_force_subreps,
@@ -195,16 +196,57 @@ def test_enumerate_rejects_out_of_range():
 
 @pytest.mark.parametrize(
     "name, q",
-    [(name, q) for name in [*BATTERY, "kronecker-preproj:1"] for q in (2, 3)] + [("a21-ex1", 5)],
+    [(name, q) for name in [*BATTERY, "kronecker-preproj:1"] for q in (2, 3)]
+    + [("a21-ex1", 5), ("a21-ray:7", 3)],
 )
 def test_point_counts_match_enumeration(name, q):
-    # the count-only walk against the enumerating one, slice by slice
+    # the count-only walk against the enumerating one, and the walk over
+    # every e against the walk over one e, slice by slice
     _, rep = modp(name, q)
     counts = point_counts(rep)
     assert list(counts) == all_dim_vectors(rep.dims)
+    points = enumerate_subreps(rep)
+    order = [rep.quiver.vertex_index[v] for v in rep.quiver.topological_order]
+    assert points == sorted(points, key=lambda pt: [pt.spaces[j].sort_key() for j in order])
+    slices = {e: [] for e in counts}
+    for point in points:
+        slices[point.dim_vector].append(point)
     for e, count in counts.items():
-        assert count == len(enumerate_subreps(rep, e)), e
+        assert slices[e] == enumerate_subreps(rep, e), e
+        assert count == len(slices[e]), e
         assert point_counts(rep, e) == {e: count}
+
+
+def test_walk_over_every_e_scans_only_cells_that_can_hold_w(monkeypatch):
+    # a node of the walk is a prefix of some point (extend it by the full
+    # spaces), and it scans the cells of Gr(k, d_j) for k >= dim W only
+    module = importlib.import_module("qgrass.census")
+    cells, scanned = module._subspaces_cached, []
+
+    def counted(d, k, p):
+        scanned.append(len(cells(d, k, p)))
+        return cells(d, k, p)
+
+    monkeypatch.setattr(module, "_subspaces_cached", counted)
+    for name, q in (("a21-ray:3", 3), ("kronecker-reg:2", 2), ("kronecker-preproj:2", 2)):
+        _, rep = modp(name, q)
+        scanned.clear()
+        points = enumerate_subreps(rep)
+        quiver, idx = rep.quiver, rep.quiver.vertex_index
+        expected = 0
+        for pos, v in enumerate(quiver.topological_order):
+            before = [idx[u] for u in quiver.topological_order[:pos]]
+            j, d = idx[v], rep.dims[idx[v]]
+            for prefix in {tuple(pt.spaces[i] for i in before) for pt in points}:
+                chosen = dict(zip(before, prefix))
+                images = [
+                    rep.matrices[a.name].apply(chosen[idx[a.source]].matrix.row(r))
+                    for a in quiver.arrows_into(v)
+                    for r in range(chosen[idx[a.source]].dim)
+                ]
+                w = SubspaceBasis.from_vectors(rep.field, images, d).dim
+                expected += sum(len(cells(d, k, q)) for k in range(w, d + 1))
+        assert sum(scanned) == expected, (name, q)
 
 
 # The vertex before the sink is counted in closed form when it has at most
@@ -261,8 +303,36 @@ def small_reps(draw):
     "a12": [[1], [0]], "b": [[1, 0], [0, 1]], "c": [[0, 1], [0, 0]],
 }))
 def test_point_counts_match_brute_force_on_random_representations(m):
+    slices = {}
+    for point in enumerate_subreps(m):
+        slices.setdefault(point.dim_vector, []).append(point)
     for e, count in point_counts(m).items():
-        assert count == len(brute_force_subreps(m, e)), (m.dims, e)
+        slow = brute_force_subreps(m, e)
+        assert count == len(slow), (m.dims, e)
+        by_key = SubrepPoint.sort_key
+        assert sorted(slices.get(e, []), key=by_key) == sorted(slow, key=by_key), (m.dims, e)
+
+
+def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
+    module = importlib.import_module("qgrass.census")
+    walk, calls = module.enumerate_subreps, []
+
+    def counted(m, e=None):
+        calls.append(e)
+        return walk(m, e)
+
+    monkeypatch.setattr(module, "enumerate_subreps", counted)
+    _, rep = modp("a21-ex3", 3)
+    full = census(rep)
+    assert calls == [None]
+    assert list(full.entries_by_e) == all_dim_vectors(rep.dims)
+    for e in all_dim_vectors(rep.dims):
+        one = census(rep, e)
+        assert list(one.entries_by_e) == [e]
+        assert [(x.point, x.hom_dim, x.ext_dim) for x in one.entries(e)] == [
+            (x.point, x.hom_dim, x.ext_dim) for x in full.entries(e)
+        ], e
+    assert len(calls) == 1 + len(full.entries_by_e)
 
 
 def test_closed_form_count_checks_its_subspace_total(monkeypatch):

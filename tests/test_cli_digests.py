@@ -2,10 +2,15 @@
 
 tests/cli_digests.json holds, for each command line below, the exit code and
 the sha256 of stdout, recorded before the code that produces them was
-refactored.  Any change in a report's bytes fails here.  To re-record after a
-deliberate report change (and only then):
+refactored.  Any change in a report's bytes fails here.  To record the
+command lines added to command_lines():
 
     PYTHONPATH=src python tests/test_cli_digests.py
+
+It runs every command line, adds a record for each new one and keeps the
+others as they are.  If a recorded digest no longer matches, it prints that
+command line, writes nothing and exits 1.  After a deliberate report change
+(and only then), delete the stale record by hand and run it again.
 """
 
 from __future__ import annotations
@@ -33,6 +38,9 @@ def command_lines() -> list[list[str]]:
     lines.append(["chi", "--builtin", "a21-ex1", "--e", "0,2,1"])
     lines.append(["chi", "--builtin", "a21-ex3", "--e", "1,1,1"])
     lines.append(["check", "--builtin", "a21-ex3", "--q", "2", "--format", "table"])
+    lines.append(["check", "--builtin", "a21-ray:7", "--q", "2,3"])
+    lines.append(["census", "--builtin", "a21-ex1", "--e", "1,2,1", "--q", "2,3"])
+    lines.append(["transverse", "--builtin", "kronecker-reg:3", "--e", "1,1", "--q", "2,3"])
     return lines
 
 
@@ -53,7 +61,27 @@ def test_cli_reports_match_recorded_digests():
         }, record["argv"]
 
 
-if __name__ == "__main__":
-    records = [{"argv": argv, **run(argv)} for argv in command_lines()]
+def record_new_lines() -> int:
+    recorded = {}
+    if DIGESTS.exists():
+        recorded = {tuple(r["argv"]): r for r in json.loads(DIGESTS.read_text())}
+    records, changed, added = [], [], 0
+    for argv in command_lines():
+        record = {"argv": argv, **run(argv)}
+        old = recorded.get(tuple(argv))
+        if old is None:
+            added += 1
+        elif old != record:
+            changed.append(argv)
+        records.append(record)
+    if changed:
+        for argv in changed:
+            print(f"digest changed: {' '.join(argv)}", file=sys.stderr)
+        return 1
     DIGESTS.write_text(json.dumps(records, indent=1) + "\n")
-    print(f"wrote {len(records)} records to {DIGESTS}", file=sys.stderr)
+    print(f"added {added} of {len(records)} records to {DIGESTS}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(record_new_lines())

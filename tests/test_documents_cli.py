@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -141,6 +142,10 @@ def test_parse_input_reports_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(InputError, match="line 1"):
         read_document(str(bad))
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(InputError, match=f"^{re.escape(str(binary))}: not UTF-8 text"):
+        read_document(str(binary))
 
 
 def test_document_digest_is_stable():
