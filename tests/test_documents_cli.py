@@ -300,6 +300,77 @@ def test_cli_check_counterexample_exit_code(capsys, monkeypatch):
     assert json.loads(out)["results"]["verdict"] is False
 
 
+# kronecker-reg:3 with its vertices declared as ["2", "1"]: a point's spaces
+# and dimension vector are listed as (V_2, V_1), while the walk fixes V_1
+# first.  Slice (2, 1) has one pinched point, ray(1) <= N <= ray(2), and the
+# walk emits the two kept points below as KEPT_A, KEPT_B, against sort_key.
+PINCHED = (((1, 0, 0), (0, 1, 0)), ((1, 0, 0),))
+KEPT_A = (((1, 0, 0), (0, 1, 1)), ((1, 0, 0),))
+KEPT_B = (((1, 0, 0), (0, 1, 0)), ((1, 1, 0),))
+
+
+def test_cli_check_reports_counterexamples_in_sort_key_order(capsys, monkeypatch, tmp_path):
+    # the loci coincide on every honest fixture, so census is wrapped to swap
+    # the pinched point's ext with that of two kept points
+    import dataclasses
+    import importlib
+
+    tubes = importlib.import_module("qgrass.tubes")
+    real_census = tubes.census
+    forced_ext = {PINCHED: 0, KEPT_A: 1, KEPT_B: 1}
+
+    def forced_census(rep_q, e=None):
+        report = real_census(rep_q, e)
+        report.entries_by_e[(2, 1)] = [
+            dataclasses.replace(x, ext_dim=forced_ext.get(
+                tuple(tuple(map(tuple, s.matrix.to_rows())) for s in x.point.spaces), x.ext_dim))
+            for x in report.entries_by_e[(2, 1)]
+        ]
+        return report
+
+    monkeypatch.setattr(tubes, "census", forced_census)
+    doc = emit_builtin("kronecker-reg:3")
+    doc["quiver"]["vertices"] = ["2", "1"]
+    path = tmp_path / "kronecker-reg-3-reversed.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_cli(capsys, "check", "--input", str(path), "--q", "2,3")
+    assert code == 1
+    results = json.loads(out)["results"]
+    assert results["verdict"] is False
+
+    got = [(ce.pop("q"), ce.pop("e"), ce.pop("point"), ce) for ce in results["counterexamples"]]
+    want = [
+        (q, [2, 1], {"dim_vector": [2, 1], "spaces": {"2": v2, "1": v1}},
+         {"ext_dim": ext, "side": side, "contains_lower": lower, "contained_in_upper": upper})
+        for q in (2, 3)
+        for v2, v1, ext, side, lower, upper in (
+            ([[1, 0, 0], [0, 1, 0]], [[1, 0, 0]], 0, "homological_only", True, True),
+            ([[1, 0, 0], [0, 1, 0]], [[1, 1, 0]], 1, "combinatorial_only", False, True),
+            ([[1, 0, 0], [0, 1, 1]], [[1, 0, 0]], 1, "combinatorial_only", True, False),
+        )
+    ]
+    assert got == want
+
+    # (combinatorial, homological) per e; only slice (2, 1) differs
+    counts = {
+        2: {(0, 0): (1, 1), (0, 1): (0, 0), (0, 2): (0, 0), (0, 3): (0, 0),
+            (1, 0): (7, 7), (1, 1): (0, 0), (1, 2): (0, 0), (1, 3): (0, 0),
+            (2, 0): (7, 7), (2, 1): (8, 7), (2, 2): (0, 0), (2, 3): (0, 0),
+            (3, 0): (1, 1), (3, 1): (7, 7), (3, 2): (7, 7), (3, 3): (1, 1)},
+        3: {(0, 0): (1, 1), (0, 1): (0, 0), (0, 2): (0, 0), (0, 3): (0, 0),
+            (1, 0): (13, 13), (1, 1): (0, 0), (1, 2): (0, 0), (1, 3): (0, 0),
+            (2, 0): (13, 13), (2, 1): (15, 14), (2, 2): (0, 0), (2, 3): (0, 0),
+            (3, 0): (1, 1), (3, 1): (13, 13), (3, 2): (13, 13), (3, 3): (1, 1)},
+    }
+    assert [fc["q"] for fc in results["per_field"]] == [2, 3]
+    for fc in results["per_field"]:
+        assert fc["verdict"] is False
+        assert {
+            tuple(x["e"]): (x["combinatorial"], x["homological"]) for x in fc["per_e"]
+        } == counts[fc["q"]]
+        assert [tuple(x["e"]) for x in fc["per_e"] if not x["equal"]] == [(2, 1)]
+
+
 def test_cli_reports_are_byte_stable(capsys):
     _, first, _ = run_cli(capsys, "census", "--builtin", "a21-ex3", "--q", "2,3")
     _, second, _ = run_cli(capsys, "census", "--builtin", "a21-ex3", "--q", "2,3")
