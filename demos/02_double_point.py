@@ -28,7 +28,8 @@ for q in (2, 3, 5):
     print(
         f"q = {q}: |Gr_(1,1)| = {len(entries)}, hom = {entry.hom_dim}, "
         f"ext = {entry.ext_dim}, homological transverse = "
-        f"{len(transverse_homological(report, e))}, combinatorial = {len(comb.points(e))}"
+        f"{len(transverse_homological(report, e))}, "
+        f"combinatorial = {sum(comb.contains(x.point) for x in entries)}"
     )
 
 report = census(reduce_mod_p(module, 2))

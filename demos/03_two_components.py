@@ -31,6 +31,7 @@ for q in (2, 3):
         marker = "  <- singular crossing" if entry.ext_dim else ""
         print(f"  V2 = {rows[0]}, V3 = {rows[1]}: tangent dim {entry.hom_dim}{marker}")
     hom = set(transverse_homological(report, e))
-    comb = set(transverse_combinatorial(report).points(e))
+    locus = transverse_combinatorial(report)
+    comb = {x.point for x in entries if locus.contains(x.point)}
     assert hom == comb == {x.point for x in entries if x.ext_dim == 0}
     print(f"  both transverse loci = the {len(hom)} smooth points\n")

@@ -8,7 +8,7 @@ dimension vector, the two sets are compared point by point.
 
 import time
 
-from qgrass import compare_transverse_loci, emit_builtin, parse_document
+from qgrass import compare_transverse_loci, emit_builtin, parse_document, point_counts, reduce_mod_p
 
 BATTERY = [
     "kronecker-reg:1",
@@ -28,7 +28,7 @@ for name in BATTERY:
     comparison = compare_transverse_loci(module, [2, 3])
     elapsed = time.monotonic() - start
     slices = sum(len(fc.per_e) for fc in comparison.per_field)
-    points = sum(fc.report.total_points() for fc in comparison.per_field)
+    points = sum(sum(point_counts(reduce_mod_p(module, q)).values()) for q in (2, 3))
     kind = "rigid" if comparison.per_field[0].rigid else (
         f"tube p={comparison.per_field[0].tube.tube_rank}"
         f" l={comparison.per_field[0].tube.l} k={comparison.per_field[0].tube.k}"

@@ -55,8 +55,6 @@ class CensusEntry:
     point: SubrepPoint
     hom_dim: int
     ext_dim: int
-    # (contains_lower, contained_in_upper) once tube analysis has run
-    comb_flags: tuple | None = None
 
     @property
     def homologically_transverse(self) -> bool:

@@ -26,7 +26,6 @@ from .tubes import (
     canonical_ray_submodule,
     compare_transverse_loci,
     quasi_socle,
-    transverse_combinatorial,
     tube_coordinates,
 )
 
@@ -278,16 +277,12 @@ def _point_obj(quiver, point) -> dict:
 
 
 def _entry_obj(quiver, entry) -> dict:
-    obj = {
+    return {
         "point": _point_obj(quiver, entry.point),
         "hom_dim": entry.hom_dim,
         "ext_dim": entry.ext_dim,
         "transverse": entry.homologically_transverse,
     }
-    if entry.comb_flags is not None:
-        obj["contains_lower"] = entry.comb_flags[0]
-        obj["contained_in_upper"] = entry.comb_flags[1]
-    return obj
 
 
 def _tube_obj(tube) -> dict:
@@ -313,8 +308,8 @@ def _comparison_obj(quiver, comparison) -> dict:
         obj["per_e"] = [
             {
                 "e": list(e),
-                "combinatorial": len(comb),
-                "homological": len(hom),
+                "combinatorial": comb,
+                "homological": hom,
                 "equal": equal,
             }
             for e, (comb, hom, equal) in fc.per_e.items()

@@ -8,17 +8,17 @@ are Phi^{-j}(dim R0) and their partial sums are the ray dimension vectors.
 
 The combinatorial transverse locus keeps every point except those pinched
 between the canonical ray submodules of quasi-lengths k + 1 and l*p - 1
-(for a rigid module nothing is removed).  The homological locus keeps the
-points with Ext^1(N, M/N) = 0.  ``compare_transverse_loci`` computes both,
-point by point over each requested prime field, and reports whether they
-coincide.
+(for a rigid module nothing is removed), so it is stored as that window.
+The homological locus keeps the points with Ext^1(N, M/N) = 0.
+``compare_transverse_loci`` tests both at every point over each requested
+prime field, and reports whether they coincide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .census import CensusReport, SubrepPoint, census, transverse_homological
+from .census import CensusReport, SubrepPoint, census
 from .errors import (
     AmbiguousQuasiSocleError,
     InputError,
@@ -165,34 +165,43 @@ def canonical_ray_submodule(report: CensusReport, tube: TubeData, t: int) -> Sub
     return points[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CombinatorialTransverse:
-    """Per-e combinatorial transverse sets plus how they were obtained."""
+    """The combinatorial transverse locus: every point N except those with
+    lower <= N <= upper, the ray submodules of quasi-lengths k + 1 and
+    l*p - 1.  All three fields are None for a rigid module, which keeps
+    every point."""
 
-    sets_by_e: dict
-    rigid: bool
     tube: TubeData | None
     lower: SubrepPoint | None
     upper: SubrepPoint | None
 
-    def points(self, e) -> list[SubrepPoint]:
-        return self.sets_by_e.get(tuple(e), [])
+    @property
+    def rigid(self) -> bool:
+        return self.tube is None
+
+    def flags(self, point: SubrepPoint) -> tuple | None:
+        """(lower <= point, point <= upper), or None for a rigid module."""
+        if self.rigid:
+            return None
+        return (self.lower.leq(point), point.leq(self.upper))
+
+    def contains(self, point: SubrepPoint) -> bool:
+        return self.rigid or not (self.lower.leq(point) and point.leq(self.upper))
 
 
 def transverse_combinatorial(report: CensusReport) -> CombinatorialTransverse:
     """Combinatorial transverse locus of a full census.
 
     Rigid modules keep their whole Grassmannian.  Otherwise the quasi-socle
-    and tube coordinates are computed and the points N with
-    ray(k+1) <= N <= ray(l*p - 1) are excluded; each entry's comb_flags
-    record the two containments.
+    and tube coordinates are computed, and the locus excludes the points N
+    with ray(k+1) <= N <= ray(l*p - 1).
     """
     if not report.complete:
         raise InputError("combinatorial transverse locus needs a full census")
     rep = report.rep
     if is_rigid(rep):
-        sets = {e: [entry.point for entry in entries] for e, entries in report.entries_by_e.items()}
-        return CombinatorialTransverse(sets_by_e=sets, rigid=True, tube=None, lower=None, upper=None)
+        return CombinatorialTransverse(tube=None, lower=None, upper=None)
 
     ed = compute_euler_data(report.quiver)
     if not ed.is_affine:
@@ -204,23 +213,11 @@ def transverse_combinatorial(report: CensusReport) -> CombinatorialTransverse:
         tube = tube_coordinates(ed, rep.dims, socle.dim_vector)
     except RigidRegularError:
         # defensive: a non-rigid module should never land here
-        sets = {e: [entry.point for entry in entries] for e, entries in report.entries_by_e.items()}
-        return CombinatorialTransverse(sets_by_e=sets, rigid=True, tube=None, lower=None, upper=None)
+        return CombinatorialTransverse(tube=None, lower=None, upper=None)
 
     lower = canonical_ray_submodule(report, tube, tube.k + 1)
     upper = canonical_ray_submodule(report, tube, tube.l * tube.tube_rank - 1)
-
-    sets = {}
-    for e, entries in report.entries_by_e.items():
-        kept = []
-        for entry in entries:
-            contains_lower = lower.leq(entry.point)
-            contained_in_upper = entry.point.leq(upper)
-            entry.comb_flags = (contains_lower, contained_in_upper)
-            if not (contains_lower and contained_in_upper):
-                kept.append(entry.point)
-        sets[e] = kept
-    return CombinatorialTransverse(sets_by_e=sets, rigid=False, tube=tube, lower=lower, upper=upper)
+    return CombinatorialTransverse(tube=tube, lower=lower, upper=upper)
 
 
 @dataclass
@@ -238,11 +235,13 @@ class FieldComparison:
     """Comparison of both transverse loci over one prime field."""
 
     q: int
-    rigid: bool = False
     tube: TubeData | None = None
     error: str | None = None
-    per_e: dict = dataclass_field(default_factory=dict)  # e -> (comb pts, hom pts, equal)
-    report: CensusReport | None = None
+    per_e: dict = dataclass_field(default_factory=dict)  # e -> (comb count, hom count, equal)
+
+    @property
+    def rigid(self) -> bool:
+        return self.error is None and self.tube is None
 
     @property
     def verdict(self) -> bool:
@@ -279,40 +278,37 @@ def compare_transverse_loci(m: Representation, q_list) -> TransverseComparison:
     per_field = []
     counterexamples = []
     for q in q_list:
-        rep_q = reduce_mod_p(m, q)
-        report = census(rep_q)
-        fc = FieldComparison(q=q, report=report)
-        try:
-            comb = transverse_combinatorial(report)
-        except (NotRegularError, InternalCheckError) as err:
-            fc.error = f"{type(err).__name__}: {err}"
-            per_field.append(fc)
-            continue
-        fc.rigid = comb.rigid
-        fc.tube = comb.tube
-        ext_of = {
-            e: {entry.point: entry for entry in entries}
-            for e, entries in report.entries_by_e.items()
-        }
-        for e in report.entries_by_e:
-            comb_pts = set(comb.points(e))
-            hom_pts = set(transverse_homological(report, e))
-            equal = comb_pts == hom_pts
-            fc.per_e[e] = (sorted(comb_pts, key=SubrepPoint.sort_key),
-                           sorted(hom_pts, key=SubrepPoint.sort_key),
-                           equal)
-            if not equal:
-                for pt in sorted(comb_pts ^ hom_pts, key=SubrepPoint.sort_key):
-                    entry = ext_of[e][pt]
-                    counterexamples.append(
-                        Counterexample(
-                            q=q,
-                            e=e,
-                            point=pt,
-                            ext_dim=entry.ext_dim,
-                            comb_flags=entry.comb_flags,
-                            side="combinatorial_only" if pt in comb_pts else "homological_only",
-                        )
-                    )
+        fc, found = _compare_over(m, q)
         per_field.append(fc)
+        counterexamples += found
     return TransverseComparison(per_field=per_field, counterexamples=counterexamples)
+
+
+def _compare_over(m: Representation, q: int) -> tuple[FieldComparison, list]:
+    """One prime's comparison and counterexamples, from one pass over each
+    slice; the census is dropped on return."""
+    report = census(reduce_mod_p(m, q))
+    try:
+        comb = transverse_combinatorial(report)
+    except (NotRegularError, InternalCheckError) as err:
+        return FieldComparison(q=q, error=f"{type(err).__name__}: {err}"), []
+    fc = FieldComparison(q=q, tube=comb.tube)
+    counterexamples = []
+    for e, entries in report.entries_by_e.items():
+        n_comb = n_hom = 0
+        found = []
+        for entry in entries:
+            in_comb = comb.contains(entry.point)
+            in_hom = entry.homologically_transverse
+            n_comb += in_comb
+            n_hom += in_hom
+            if in_comb != in_hom:
+                found.append(Counterexample(
+                    q=q, e=e, point=entry.point, ext_dim=entry.ext_dim,
+                    comb_flags=comb.flags(entry.point),
+                    side="combinatorial_only" if in_comb else "homological_only",
+                ))
+        fc.per_e[e] = (n_comb, n_hom, not found)
+        # the walk's order is topological, sort_key's is the declared one
+        counterexamples += sorted(found, key=lambda ce: ce.point.sort_key())
+    return fc, counterexamples

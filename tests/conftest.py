@@ -53,6 +53,11 @@ def rep_from_ints(quiver: Quiver, field: Field, dims, matrices: dict) -> Represe
     return Representation(quiver, field, dims, mats)
 
 
+def locus_points(report, locus, e) -> list:
+    """The points of slice e that the combinatorial locus keeps, in census order."""
+    return [entry.point for entry in report.entries(e) if locus.contains(entry.point)]
+
+
 def builtin_rep(name: str):
     """Parsed rational representation of a built-in module."""
     quiver, rep = parse_document(emit_builtin(name))

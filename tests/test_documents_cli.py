@@ -291,7 +291,7 @@ def test_cli_check_counterexample_exit_code(capsys, monkeypatch):
     from qgrass.tubes import TransverseComparison, FieldComparison
 
     fake = TransverseComparison(
-        per_field=[FieldComparison(q=2, per_e={(0, 0): ([], [], False)})],
+        per_field=[FieldComparison(q=2, per_e={(0, 0): (0, 0, False)})],
         counterexamples=[],
     )
     monkeypatch.setattr(cli_mod, "compare_transverse_loci", lambda rep, qs: fake)

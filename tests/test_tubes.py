@@ -25,7 +25,7 @@ from qgrass import (
     transverse_homological,
     tube_coordinates,
 )
-from conftest import BATTERY, builtin_rep, rep_from_ints
+from conftest import BATTERY, builtin_rep, locus_points, rep_from_ints
 
 F2 = Field.prime(2)
 
@@ -163,16 +163,16 @@ def test_transverse_combinatorial_example1_empty_slice():
     quiver, rep, report = full_report("a21-ex1", 2)
     comb = transverse_combinatorial(report)
     assert not comb.rigid
-    assert comb.points((0, 2, 1)) == []
+    assert locus_points(report, comb, (0, 2, 1)) == []
     # all three points are pinched between the window submodules
     for entry in report.entries((0, 2, 1)):
-        assert entry.comb_flags == (True, True)
+        assert comb.flags(entry.point) == (True, True)
 
 
 def test_transverse_combinatorial_example2_empty_slice():
     quiver, rep, report = full_report("kronecker-reg:2", 3)
     comb = transverse_combinatorial(report)
-    assert comb.points((1, 1)) == []
+    assert locus_points(report, comb, (1, 1)) == []
     assert comb.tube.l * comb.tube.tube_rank - 1 == 1
     assert comb.lower == comb.upper  # window collapses to the single ray point
 
@@ -180,7 +180,7 @@ def test_transverse_combinatorial_example2_empty_slice():
 def test_transverse_combinatorial_example3_drops_singular_point():
     quiver, rep, report = full_report("a21-ex3", 2)
     comb = transverse_combinatorial(report)
-    kept = comb.points((0, 1, 1))
+    kept = locus_points(report, comb, (0, 1, 1))
     assert len(kept) == 4
     excluded = set(report.points((0, 1, 1))) - set(kept)
     assert len(excluded) == 1
@@ -196,8 +196,10 @@ def test_transverse_combinatorial_rigid_keeps_everything():
     report = census(reduce_mod_p(rep, 2))
     comb = transverse_combinatorial(report)
     assert comb.rigid
+    assert (comb.lower, comb.upper) == (None, None)
     for e, entries in report.entries_by_e.items():
-        assert comb.points(e) == [entry.point for entry in entries]
+        assert locus_points(report, comb, e) == [entry.point for entry in entries]
+        assert all(comb.flags(entry.point) is None for entry in entries)
 
 
 def test_vacuous_window_keeps_everything():
@@ -205,7 +207,7 @@ def test_vacuous_window_keeps_everything():
     comb = transverse_combinatorial(report)
     assert comb.tube.vacuous_window
     for e, entries in report.entries_by_e.items():
-        assert comb.points(e) == [entry.point for entry in entries]
+        assert locus_points(report, comb, e) == [entry.point for entry in entries]
 
 
 def test_excluded_points_always_have_ext():
@@ -217,7 +219,7 @@ def test_excluded_points_always_have_ext():
             if comb.rigid:
                 continue
             for entry in report.all_entries():
-                if entry.comb_flags == (True, True):
+                if comb.flags(entry.point) == (True, True):
                     assert entry.ext_dim >= 1, (name, q, entry.point.dim_vector)
 
 
@@ -236,10 +238,11 @@ def test_compare_transverse_loci_rigid_sides_are_everything():
     comparison = compare_transverse_loci(rep, [2])
     fc = comparison.per_field[0]
     assert fc.rigid
-    report = fc.report
+    report = census(reduce_mod_p(rep, 2))
+    assert list(fc.per_e) == list(report.entries_by_e)
     for e, (comb, hom, equal) in fc.per_e.items():
         assert equal
-        assert len(comb) == len(report.entries(e))
+        assert comb == hom == len(report.entries(e))
 
 
 def test_compare_reports_tube_errors_per_field():
@@ -251,3 +254,24 @@ def test_compare_reports_tube_errors_per_field():
     assert not comparison.verdict
     assert len(comparison.internal_errors) == 2
     assert "AmbiguousQuasiSocle" in comparison.internal_errors[0]
+
+
+def test_compare_drops_each_census_before_the_next(monkeypatch):
+    import importlib
+    import weakref
+
+    tubes = importlib.import_module("qgrass.tubes")
+    real_census = tubes.census
+    earlier = []
+
+    def tracked_census(rep_q, e=None):
+        alive = [ref for ref in earlier if ref() is not None]
+        report = real_census(rep_q, e)
+        earlier.append(weakref.ref(report))
+        assert alive == [], "an earlier prime's census is still alive"
+        return report
+
+    monkeypatch.setattr(tubes, "census", tracked_census)
+    quiver, rep = builtin_rep("a21-ex3")
+    assert compare_transverse_loci(rep, [2, 3, 5]).verdict
+    assert len(earlier) == 3
