@@ -307,9 +307,16 @@ class CountingPolynomial:
         """Interpolate the (q, count) samples and confirm at check_sample.
 
         A mismatch at the check prime or a non-integer coefficient raises
-        CountNotPolynomialError with the raw counts attached.
+        CountNotPolynomialError with the raw counts attached; a q that occurs
+        twice among the samples and the check sample raises InputError.
         """
         samples, check_sample = tuple(samples), tuple(check_sample)
+        qs = [q for q, _ in (*samples, check_sample)]
+        if len(set(qs)) != len(qs):
+            raise InputError(
+                f"samples must have distinct q: samples={list(samples)}, "
+                f"check sample={check_sample}"
+            )
         coeffs = _lagrange([(Fraction(q), Fraction(c)) for q, c in samples])
         check_q, check_count = check_sample
         predicted = sum(c * check_q**i for i, c in enumerate(coeffs))

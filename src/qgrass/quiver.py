@@ -5,22 +5,26 @@ Conventions (validated by the defect sign tests): matrices act on column
 vectors, the Euler matrix is E = I - A with A[i][j] the number of arrows
 i -> j, the Euler form is <d, e> = d^T E e, and the Coxeter matrix is
 Phi = -E^{-1} E^T, so dim tau(M) = Phi . dim M for non-projective M.
-A quiver is affine when the symmetrized Tits form is positive semidefinite
-with a one-dimensional radical spanned by a strictly positive vector (the
-null root); the defect of d is then <delta, d>.
+Because the quiver is acyclic, A is nilpotent, so E^{-1} = I + A + ... +
+A^(n-1) is an integer matrix (its (i, j) entry counts the paths i -> j) and
+(E^T)^{-1} is its transpose; no division is needed.
+A quiver is affine when the kernel of the symmetrized Tits form B = E + E^T
+is one-dimensional and spanned by a strictly positive vector (the null
+root); the defect of d is then <delta, d>.  That kernel test alone decides
+it: see _affine_null_root.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .fields import QQ
-from .linalg import Matrix, kernel_basis, rref
+from .linalg import Matrix, kernel_basis
 
 
 class Arrow(NamedTuple):
@@ -80,7 +84,15 @@ class Quiver:
         return [a for a in self.arrows if a.target == v]
 
     def check_dim_vector(self, d) -> tuple[int, ...]:
-        d = tuple(int(x) for x in d)
+        """d as a tuple of ints; a float, str or bool entry is an InputError,
+        never truncated."""
+        d = tuple(d)
+        try:
+            if any(isinstance(x, bool) for x in d):
+                raise TypeError
+            d = tuple(operator.index(x) for x in d)
+        except TypeError:
+            raise InputError(f"dimension vector {d!r} has a non-integer entry") from None
         if len(d) != self.n:
             raise InputError(f"dimension vector has length {len(d)}, expected {self.n}")
         return d
@@ -129,13 +141,19 @@ def compute_euler_data(quiver: Quiver) -> EulerData:
     arrow_count = [[0] * n for _ in range(n)]
     for a in quiver.arrows:
         arrow_count[idx[a.source]][idx[a.target]] += 1
-    E = [[(1 if i == j else 0) - arrow_count[i][j] for j in range(n)] for i in range(n)]
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    E = [[identity[i][j] - arrow_count[i][j] for j in range(n)] for i in range(n)]
     ET = [[E[j][i] for j in range(n)] for i in range(n)]
-    Einv = _integer_inverse(E)
-    ETinv = _integer_inverse(ET)
+    # E^{-1} = I + A + ... + A^(n-1) as A^n = 0, summed by Horner's rule
+    Einv = identity
+    for _ in range(n - 1):
+        Einv = _int_matmul(arrow_count, Einv)
+        for i in range(n):
+            Einv[i][i] += 1
+    ETinv = [[Einv[j][i] for j in range(n)] for i in range(n)]
     phi = [[-x for x in row] for row in _int_matmul(Einv, ET)]
     phi_inv = [[-x for x in row] for row in _int_matmul(ETinv, E)]
-    if _int_matmul(phi, phi_inv) != [[int(i == j) for j in range(n)] for i in range(n)]:
+    if _int_matmul(phi, phi_inv) != identity:
         raise InternalCheckError("the Coxeter matrix times its inverse is not the identity")
 
     B = [[E[i][j] + E[j][i] for j in range(n)] for i in range(n)]
@@ -174,65 +192,20 @@ def _int_matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(a[i][t] * b[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
 
 
-def _integer_inverse(mat: list[list[int]]) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix."""
-    n = len(mat)
-    aug = Matrix.from_rows(
-        QQ,
-        [
-            [Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-            for i in range(n)
-        ],
-    )
-    red, rank, _ = rref(aug)
-    if rank != n:
-        raise InputError("matrix is singular")
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            x = red.at(i, n + j)
-            if x.denominator != 1:
-                raise InputError("matrix inverse is not integral")
-            row.append(x.numerator)
-        out.append(row)
-    return out
-
-
-def _det(mat: list[list[Fraction]]) -> Fraction:
-    m = [row[:] for row in mat]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return det
-
-
 def _affine_null_root(B: list[list[int]]) -> tuple[int, ...] | None:
     """Primitive positive generator of the radical of the symmetrized form,
     or None when the form is not affine.
 
-    Positive semidefiniteness of a symmetric matrix is checked exactly via
-    all principal minors (exponential in size; fine at desk scale).
+    B is a symmetric generalized Cartan matrix (the quiver has no loops).
+    A strictly positive kernel vector restricts to a nonzero kernel vector
+    of every connected component, so with a one-dimensional kernel there is
+    only one component.  A connected one with a strictly positive kernel
+    vector is affine (Kac, "Infinite dimensional Lie algebras", Thm 4.3),
+    hence positive semidefinite of corank 1: no test of semidefiniteness
+    is needed.
     """
     n = len(B)
     frac = [[Fraction(x) for x in row] for row in B]
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            minor = [[frac[i][j] for j in subset] for i in subset]
-            if _det(minor) < 0:
-                return None
     kernel = kernel_basis(Matrix.from_rows(QQ, frac) if n else Matrix(QQ, 0, 0, []))
     if kernel.rows != 1:
         return None

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qgrass import (
     CountNotPolynomialError,
+    CountingPolynomial,
     Field,
     InputError,
     InternalCheckError,
@@ -438,3 +439,6 @@ def test_counting_polynomial_flags_insufficient_samples():
         counting_polynomial(rep, (0, 2), [2, 3])
     assert info.value.samples[0][0] == 2
     assert info.value.check_sample[0] == 5
+    # a repeated q cannot be interpolated: the error names the samples
+    with pytest.raises(InputError, match=r"samples=\[\(2, 3\), \(2, 4\)\]"):
+        CountingPolynomial.from_samples([(2, 3), (2, 4)], (5, 6))
