@@ -11,6 +11,7 @@ loci are empty here, and the tube coordinates are rank 1, quasi-length 2.
 from qgrass import (
     census,
     emit_builtin,
+    enumerate_subreps,
     parse_document,
     reduce_mod_p,
     transverse_combinatorial,
@@ -21,10 +22,11 @@ quiver, module = parse_document(emit_builtin("kronecker-reg:2"))
 e = (1, 1)
 
 for q in (2, 3, 5):
-    report = census(reduce_mod_p(module, q))
+    rep = reduce_mod_p(module, q)
+    report = census(rep)
     entries = report.entries(e)
     (entry,) = entries
-    comb = transverse_combinatorial(report)
+    comb = transverse_combinatorial(rep, [x.point for x in report.all_entries()])
     print(
         f"q = {q}: |Gr_(1,1)| = {len(entries)}, hom = {entry.hom_dim}, "
         f"ext = {entry.ext_dim}, homological transverse = "
@@ -32,8 +34,9 @@ for q in (2, 3, 5):
         f"combinatorial = {sum(comb.contains(x.point) for x in entries)}"
     )
 
-report = census(reduce_mod_p(module, 2))
-tube = transverse_combinatorial(report).tube
+# the tube needs only the points, not their tangent data
+rep = reduce_mod_p(module, 2)
+tube = transverse_combinatorial(rep, enumerate_subreps(rep)).tube
 print(
     f"tube: rank p = {tube.tube_rank}, quasi-length = {tube.quasi_length}, "
     f"l = {tube.l}, k = {tube.k}"

@@ -21,7 +21,8 @@ quiver, module = parse_document(emit_builtin("a21-ex3"))
 e = (0, 1, 1)
 
 for q in (2, 3):
-    report = census(reduce_mod_p(module, q))
+    rep = reduce_mod_p(module, q)
+    report = census(rep)
     entries = report.entries(e)
     singular = [x for x in entries if x.ext_dim > 0]
     print(f"q = {q}: {len(entries)} points = 2q + 1")
@@ -31,7 +32,7 @@ for q in (2, 3):
         marker = "  <- singular crossing" if entry.ext_dim else ""
         print(f"  V2 = {rows[0]}, V3 = {rows[1]}: tangent dim {entry.hom_dim}{marker}")
     hom = set(transverse_homological(report, e))
-    locus = transverse_combinatorial(report)
+    locus = transverse_combinatorial(rep, [x.point for x in report.all_entries()])
     comb = {x.point for x in entries if locus.contains(x.point)}
     assert hom == comb == {x.point for x in entries if x.ext_dim == 0}
     print(f"  both transverse loci = the {len(hom)} smooth points\n")

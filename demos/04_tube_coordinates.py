@@ -10,9 +10,9 @@ dimension vector supports exactly one subrepresentation, and they nest.
 
 from qgrass import (
     canonical_ray_submodule,
-    census,
     compute_euler_data,
     emit_builtin,
+    enumerate_subreps,
     parse_document,
     quasi_socle,
     reduce_mod_p,
@@ -22,9 +22,9 @@ from qgrass import (
 for name in ("a21-ex1", "a21-ray:3", "kronecker-reg:3"):
     quiver, module = parse_document(emit_builtin(name))
     rep = reduce_mod_p(module, 2)
-    report = census(rep)
+    points = enumerate_subreps(rep)  # every e; no tangent data is needed
     ed = compute_euler_data(quiver)
-    socle = quasi_socle(report, ed)
+    socle = quasi_socle(rep, points, ed)
     tube = tube_coordinates(ed, rep.dims, socle.dim_vector)
     print(f"{name}: dims {rep.dims}")
     print(
@@ -33,8 +33,8 @@ for name in ("a21-ex1", "a21-ray:3", "kronecker-reg:3"):
     )
     previous = None
     for t in range(1, tube.quasi_length + 1):
-        point = canonical_ray_submodule(report, tube, t)
-        count = len(report.points(tube.ray_dims[t]))
+        point = canonical_ray_submodule(rep, points, tube, t)
+        count = sum(1 for x in points if x.dim_vector == tube.ray_dims[t])
         nested = "" if previous is None else ("  (contains t-1)" if previous.leq(point) else "  !!")
         print(f"  t = {t}: dims {tube.ray_dims[t]}, points with these dims: {count}{nested}")
         previous = point

@@ -10,6 +10,8 @@ Names:
 
 from __future__ import annotations
 
+from copy import deepcopy
+
 from .errors import InputError
 
 _A21_QUIVER = {
@@ -56,7 +58,7 @@ def _a21_ray_document(t: int) -> dict:
         a13 = _identity(s)
     return {
         "metadata": {"name": f"a21-ray:{t}"},
-        "quiver": _A21_QUIVER,
+        "quiver": deepcopy(_A21_QUIVER),
         "representation": {
             "dims": dims,
             "matrices": {"a12": a12, "a23": a23, "a13": a13},
@@ -69,7 +71,7 @@ def _kronecker_regular_document(n: int) -> dict:
         raise InputError("regular Kronecker size must be at least 1")
     return {
         "metadata": {"name": f"kronecker-reg:{n}"},
-        "quiver": _KRONECKER_QUIVER,
+        "quiver": deepcopy(_KRONECKER_QUIVER),
         "representation": {
             "dims": {"1": n, "2": n},
             "matrices": {"a": _identity(n), "b": _jordan_nilpotent(n)},
@@ -84,7 +86,7 @@ def _kronecker_preprojective_document(n: int) -> dict:
     bottom = [[str(int(i == j + 1)) for j in range(n)] for i in range(n + 1)]
     return {
         "metadata": {"name": f"kronecker-preproj:{n}"},
-        "quiver": _KRONECKER_QUIVER,
+        "quiver": deepcopy(_KRONECKER_QUIVER),
         "representation": {
             "dims": {"1": n, "2": n + 1},
             "matrices": {"a": top, "b": bottom},
@@ -103,7 +105,7 @@ def builtin_names() -> list[str]:
 
 
 def emit_builtin(name: str) -> dict:
-    """Input document for a built-in module, by name."""
+    """A fresh input document for a built-in module, by name; the caller may edit it."""
     if name == "a21-ex1":
         doc = _a21_ray_document(6)
         doc["metadata"]["name"] = "a21-ex1"

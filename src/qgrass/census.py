@@ -65,7 +65,6 @@ class CensusEntry:
 class CensusReport:
     rep: Representation
     entries_by_e: dict
-    complete: bool
 
     @property
     def quiver(self):
@@ -77,9 +76,6 @@ class CensusReport:
 
     def entries(self, e) -> list[CensusEntry]:
         return self.entries_by_e.get(tuple(e), [])
-
-    def points(self, e) -> list[SubrepPoint]:
-        return [entry.point for entry in self.entries(e)]
 
     def all_entries(self) -> list[CensusEntry]:
         return [entry for entries in self.entries_by_e.values() for entry in entries]
@@ -279,7 +275,7 @@ def census(m: Representation, e=None) -> CensusReport:
         he = hom_ext(sub, quot)
         entry = CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim)
         entries_by_e[point.dim_vector].append(entry)
-    report = CensusReport(rep=m, entries_by_e=entries_by_e, complete=complete)
+    report = CensusReport(rep=m, entries_by_e=entries_by_e)
     if complete and not (len(report.entries((0,) * m.quiver.n)) == len(report.entries(m.dims)) == 1):
         raise InternalCheckError("a full census needs exactly one point at e = 0 and one at e = dims")
     return report
@@ -366,7 +362,7 @@ def counting_polynomial(m: Representation, e, q_list) -> CountingPolynomial:
     """
     if not m.field.is_rationals:
         raise InputError("counting_polynomial expects a representation over the rationals")
-    q_list = [int(q) for q in q_list]
+    q_list = [Field.prime(q).p for q in q_list]  # checked primes, never truncated
     if len(set(q_list)) != len(q_list) or not q_list:
         raise InputError("need a nonempty list of distinct primes")
     e = m.quiver.check_dim_vector(e)

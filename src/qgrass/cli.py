@@ -16,7 +16,7 @@ import time
 
 from . import __version__
 from .builtin import emit_builtin
-from .census import CountingPolynomial, census, point_counts, transverse_homological
+from .census import CountingPolynomial, census, enumerate_subreps, point_counts, transverse_homological
 from .documents import document_digest, parse_document, read_document
 from .errors import InputError, InternalCheckError
 from .fields import is_prime, next_prime
@@ -141,13 +141,13 @@ def _run_command(args) -> int:
             if is_rigid(rep_q):
                 results.append({"q": q, "rigid": True})
                 continue
-            report = census(rep_q)
+            points = enumerate_subreps(rep_q)
             ed = compute_euler_data(quiver)
-            socle = quasi_socle(report, ed)
+            socle = quasi_socle(rep_q, points, ed)
             tube = tube_coordinates(ed, rep_q.dims, socle.dim_vector)
             rays = []
             for t in range(1, tube.quasi_length + 1):
-                point = canonical_ray_submodule(report, tube, t)
+                point = canonical_ray_submodule(rep_q, points, tube, t)
                 rays.append({"t": t, "dims": list(tube.ray_dims[t]),
                              "point": _point_obj(quiver, point)})
             results.append(
@@ -238,7 +238,7 @@ def _parse_e(args, quiver):
         return None
     if args.command in ("check", "tube"):
         raise InputError(
-            f"--e does not apply to {args.command}, which needs the full census; "
+            f"--e does not apply to {args.command}, which needs every dimension vector; "
             "it applies to census, transverse and chi"
         )
     try:

@@ -7,6 +7,7 @@ A ``Field`` bundles the arithmetic so matrix code can stay generic.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from .errors import InputError
@@ -48,7 +49,14 @@ class Field:
 
     def __init__(self, kind: str, p: int | None = None):
         if kind == PRIME:
-            if p is None or not is_prime(p):
+            # operator.index, never int(): 2.0 or True is refused, not truncated
+            try:
+                if isinstance(p, bool):
+                    raise TypeError
+                p = operator.index(p)
+            except TypeError:
+                raise InputError(f"modulus {p!r} is not an integer") from None
+            if not is_prime(p):
                 raise InputError(f"modulus {p!r} is not prime")
         elif kind == RATIONALS:
             if p is not None:

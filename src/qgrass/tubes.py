@@ -8,17 +8,18 @@ are Phi^{-j}(dim R0) and their partial sums are the ray dimension vectors.
 
 The combinatorial transverse locus keeps every point except those pinched
 between the canonical ray submodules of quasi-lengths k + 1 and l*p - 1
-(for a rigid module nothing is removed), so it is stored as that window.
-The homological locus keeps the points with Ext^1(N, M/N) = 0.
-``compare_transverse_loci`` tests both at every point over each requested
-prime field, and reports whether they coincide.
+(for a rigid module nothing is removed), so it is stored as that window;
+it needs only the points of every e (``enumerate_subreps(m)``), no tangent
+data.  The homological locus keeps the points with Ext^1(N, M/N) = 0.
+``compare_transverse_loci`` runs a census to test both at every point over
+each requested prime field, and reports whether they coincide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .census import CensusReport, SubrepPoint, census
+from .census import SubrepPoint, census
 from .errors import (
     AmbiguousQuasiSocleError,
     InputError,
@@ -28,6 +29,7 @@ from .errors import (
     RayAmbiguityError,
     RigidRegularError,
 )
+from .fields import Field
 from .linalg import SubspaceBasis
 from .quiver import EulerData, compute_euler_data, coxeter_apply, defect
 from .reps import Representation, is_rigid, reduce_mod_p
@@ -55,21 +57,26 @@ class TubeData:
         return self.l == 1 and self.k == self.tube_rank - 1
 
 
-def quasi_socle(report: CensusReport, euler_data: EulerData | None = None) -> SubrepPoint:
-    """The minimum nonzero defect-zero subrepresentation point.
+def _require_every_e(m: Representation, points, who: str) -> None:
+    """InputError unless points has one point at e = 0 and one at e = dims,
+    as the points of every dimension vector do."""
+    ends = [p.dim_vector for p in points if p.dim_vector in ((0,) * m.quiver.n, m.dims)]
+    if not ends.count((0,) * m.quiver.n) == ends.count(m.dims) == 1:
+        raise InputError(f"{who} needs the points of every dimension vector")
+
+
+def quasi_socle(m: Representation, points, euler_data: EulerData | None = None) -> SubrepPoint:
+    """The minimum nonzero defect-zero point among m's points of every e.
 
     Defect zero rules out preprojective summands, so the candidates are the
     regular submodules; for an indecomposable regular module they are nested
     and the minimum is its quasi-socle.
     """
-    if not report.complete:
-        raise InputError("quasi_socle needs a census over every dimension vector")
-    ed = euler_data or compute_euler_data(report.quiver)
-    candidates = []
-    for e, entries in report.entries_by_e.items():
-        if all(x == 0 for x in e) or defect(ed, e) != 0:
-            continue
-        candidates.extend(entry.point for entry in entries)
+    _require_every_e(m, points, "quasi_socle")
+    ed = euler_data or compute_euler_data(m.quiver)
+    # one defect per distinct e; dimension vectors are nonnegative
+    regular = {e for e in {p.dim_vector for p in points} if any(e) and defect(ed, e) == 0}
+    candidates = [p for p in points if p.dim_vector in regular]
     if not candidates:
         raise NotRegularError("no nonzero submodule of defect zero: module is not regular")
     minimal = [
@@ -147,8 +154,8 @@ def tube_coordinates(euler_data: EulerData, dim_m, dim_r0) -> TubeData:
     )
 
 
-def canonical_ray_submodule(report: CensusReport, tube: TubeData, t: int) -> SubrepPoint:
-    """The unique subrepresentation point with the quasi-length-t ray dims.
+def canonical_ray_submodule(m: Representation, points, tube: TubeData, t: int) -> SubrepPoint:
+    """The unique point among points with the quasi-length-t ray dims.
 
     t = 0 gives the zero point.  Uniqueness is a structural fact for genuine
     regular indecomposables; a different count raises RayAmbiguityError.
@@ -156,13 +163,13 @@ def canonical_ray_submodule(report: CensusReport, tube: TubeData, t: int) -> Sub
     if not 0 <= t <= tube.quasi_length:
         raise InputError(f"ray index {t} out of range 0..{tube.quasi_length}")
     if t == 0:
-        field = report.field
-        spaces = tuple(SubspaceBasis.zero(field, d) for d in report.rep.dims)
-        return SubrepPoint(spaces=spaces, dim_vector=(0,) * report.quiver.n)
-    points = report.points(tube.ray_dims[t])
-    if len(points) != 1:
-        raise RayAmbiguityError(tube.ray_dims[t], len(points))
-    return points[0]
+        spaces = tuple(SubspaceBasis.zero(m.field, d) for d in m.dims)
+        return SubrepPoint(spaces=spaces, dim_vector=(0,) * m.quiver.n)
+    dims = tube.ray_dims[t]
+    found = [point for point in points if point.dim_vector == dims]
+    if len(found) != 1:
+        raise RayAmbiguityError(dims, len(found))
+    return found[0]
 
 
 @dataclass(frozen=True)
@@ -190,33 +197,31 @@ class CombinatorialTransverse:
         return self.rigid or not (self.lower.leq(point) and point.leq(self.upper))
 
 
-def transverse_combinatorial(report: CensusReport) -> CombinatorialTransverse:
-    """Combinatorial transverse locus of a full census.
+def transverse_combinatorial(m: Representation, points) -> CombinatorialTransverse:
+    """Combinatorial transverse locus of m from its points of every e.
 
     Rigid modules keep their whole Grassmannian.  Otherwise the quasi-socle
     and tube coordinates are computed, and the locus excludes the points N
     with ray(k+1) <= N <= ray(l*p - 1).
     """
-    if not report.complete:
-        raise InputError("combinatorial transverse locus needs a full census")
-    rep = report.rep
-    if is_rigid(rep):
+    _require_every_e(m, points, "the combinatorial transverse locus")
+    if is_rigid(m):
         return CombinatorialTransverse(tube=None, lower=None, upper=None)
 
-    ed = compute_euler_data(report.quiver)
+    ed = compute_euler_data(m.quiver)
     if not ed.is_affine:
         raise InputError(
             "combinatorial transverse locus undefined: non-rigid module on a non-affine quiver"
         )
-    socle = quasi_socle(report, ed)
+    socle = quasi_socle(m, points, ed)
     try:
-        tube = tube_coordinates(ed, rep.dims, socle.dim_vector)
+        tube = tube_coordinates(ed, m.dims, socle.dim_vector)
     except RigidRegularError:
         # defensive: a non-rigid module should never land here
         return CombinatorialTransverse(tube=None, lower=None, upper=None)
 
-    lower = canonical_ray_submodule(report, tube, tube.k + 1)
-    upper = canonical_ray_submodule(report, tube, tube.l * tube.tube_rank - 1)
+    lower = canonical_ray_submodule(m, points, tube, tube.k + 1)
+    upper = canonical_ray_submodule(m, points, tube, tube.l * tube.tube_rank - 1)
     return CombinatorialTransverse(tube=tube, lower=lower, upper=upper)
 
 
@@ -271,9 +276,9 @@ def compare_transverse_loci(m: Representation, q_list) -> TransverseComparison:
     """
     if not m.field.is_rationals:
         raise InputError("compare_transverse_loci expects a representation over the rationals")
-    q_list = list(q_list)
-    if not q_list:
-        raise InputError("need at least one prime")
+    q_list = [Field.prime(q).p for q in q_list]  # checked before any census runs
+    if len(set(q_list)) != len(q_list) or not q_list:
+        raise InputError("need a nonempty list of distinct primes")
 
     per_field = []
     counterexamples = []
@@ -289,7 +294,7 @@ def _compare_over(m: Representation, q: int) -> tuple[FieldComparison, list]:
     slice; the census is dropped on return."""
     report = census(reduce_mod_p(m, q))
     try:
-        comb = transverse_combinatorial(report)
+        comb = transverse_combinatorial(report.rep, [x.point for x in report.all_entries()])
     except (NotRegularError, InternalCheckError) as err:
         return FieldComparison(q=q, error=f"{type(err).__name__}: {err}"), []
     fc = FieldComparison(q=q, tube=comb.tube)

@@ -53,6 +53,11 @@ def rep_from_ints(quiver: Quiver, field: Field, dims, matrices: dict) -> Represe
     return Representation(quiver, field, dims, mats)
 
 
+def census_points(report) -> list:
+    """Every point of a census, the input the tube pipeline takes."""
+    return [entry.point for entry in report.all_entries()]
+
+
 def locus_points(report, locus, e) -> list:
     """The points of slice e that the combinatorial locus keeps, in census order."""
     return [entry.point for entry in report.entries(e) if locus.contains(entry.point)]

@@ -36,7 +36,7 @@ from qgrass import (
 from qgrass.cli import main as cli_main
 from qgrass.fields import QQ, Field
 from qgrass.linalg import Matrix
-from conftest import BATTERY, builtin_rep, locus_points
+from conftest import BATTERY, builtin_rep, census_points, locus_points
 
 
 def report(label: str, elapsed: float, budget: float):
@@ -57,7 +57,7 @@ def test_criterion_1_example1_projective_line_slice():
         assert all(entry.ext_dim == 1 for entry in entries)
         assert transverse_homological(rpt, e) == []
         full = census(rep_q)
-        comb = transverse_combinatorial(full)
+        comb = transverse_combinatorial(rep_q, census_points(full))
         assert locus_points(full, comb, e) == []
     report("criterion 1: dims (3,3,3) slice e=(0,2,1)", time.monotonic() - start, 10)
 
@@ -74,7 +74,7 @@ def test_criterion_2_example2_double_point():
         assert entries[0].ext_dim == 1
         assert transverse_homological(rpt, e) == []
         full = census(rep_q)
-        comb = transverse_combinatorial(full)
+        comb = transverse_combinatorial(rep_q, census_points(full))
         assert locus_points(full, comb, e) == []
         tube = comb.tube
         assert (tube.tube_rank, tube.l, tube.k) == (1, 2, 0)
@@ -98,7 +98,7 @@ def test_criterion_3_example3_two_components():
         assert len(smooth) == 2 * q
         assert all(x.hom_dim == lower for x in smooth)
         hom_set = set(transverse_homological(full, e))
-        comb_set = set(locus_points(full, transverse_combinatorial(full), e))
+        comb_set = set(locus_points(full, transverse_combinatorial(rep_q, census_points(full)), e))
         assert hom_set == comb_set == {x.point for x in smooth}
     report("criterion 3: dims (2,2,2) slice e=(0,1,1)", time.monotonic() - start, 10)
 
@@ -130,10 +130,10 @@ def test_criterion_5_rigid_preprojective():
         rep_q = reduce_mod_p(rep, q)
         full = census(rep_q)
         assert full.total_points() == full.total_transverse()
-        comb = transverse_combinatorial(full)
+        comb = transverse_combinatorial(rep_q, census_points(full))
         assert comb.rigid
         for e in all_dim_vectors(rep.dims):
-            assert locus_points(full, comb, e) == full.points(e)
+            assert locus_points(full, comb, e) == [x.point for x in full.entries(e)]
     report("criterion 5: rigid dims (1,2) module", time.monotonic() - start, 5)
 
 
@@ -188,16 +188,17 @@ def test_criterion_7_property_suites():
                         brute_force_subreps(rep_q, e)
                     )
             # ray submodules: unique and nested
-            comb = transverse_combinatorial(full)
+            points = census_points(full)
+            comb = transverse_combinatorial(rep_q, points)
             if not comb.rigid:
                 tube = comb.tube
                 ed = compute_euler_data(quiver)
-                assert quasi_socle(full, ed).dim_vector == tube.quasi_socle_dim
+                assert quasi_socle(rep_q, points, ed).dim_vector == tube.quasi_socle_dim
                 chain = []
                 for t in range(1, tube.quasi_length + 1):
-                    pts = full.points(tube.ray_dims[t])
-                    assert len(pts) == 1
-                    chain.append(pts[0])
+                    entries = full.entries(tube.ray_dims[t])
+                    assert len(entries) == 1
+                    chain.append(entries[0].point)
                 for small, big in zip(chain, chain[1:]):
                     assert small.leq(big)
                 assert all(defect(ed, d) == 0 for d in tube.ray_dims[1:])

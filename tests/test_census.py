@@ -22,6 +22,7 @@ from qgrass import (
     all_dim_vectors,
     brute_force_subreps,
     census,
+    compare_transverse_loci,
     counting_polynomial,
     enumerate_subreps,
     euler_form,
@@ -442,3 +443,24 @@ def test_counting_polynomial_flags_insufficient_samples():
     # a repeated q cannot be interpolated: the error names the samples
     with pytest.raises(InputError, match=r"samples=\[\(2, 3\), \(2, 4\)\]"):
         CountingPolynomial.from_samples([(2, 3), (2, 4)], (5, 6))
+
+
+def test_library_prime_lists_take_integer_primes_only():
+    # 2.0 passed is_prime and then failed in pow(); 3.7 was truncated to 3
+    # by int(); a repeated prime was run and reported twice
+    _, rep = builtin_rep("a21-ex3")
+    for bad in (2.0, True, None, "2", 4):
+        with pytest.raises(InputError, match="modulus"):
+            Field.prime(bad)
+    with pytest.raises(InputError, match="not an integer"):
+        reduce_mod_p(rep, 2.0)
+    with pytest.raises(InputError, match="not an integer"):
+        compare_transverse_loci(rep, [2.0])
+    with pytest.raises(InputError, match="distinct primes"):
+        compare_transverse_loci(rep, [2, 2])
+    with pytest.raises(InputError, match="not an integer"):
+        counting_polynomial(rep, (0, 1, 1), [2, 3.7, 5])
+    with pytest.raises(InputError, match="not an integer"):
+        counting_polynomial(rep, (0, 1, 1), [2, True])
+    assert Field.prime(3).p == 3
+    assert counting_polynomial(rep, (0, 1, 1), [2, 3]).coefficients == (1, 2)

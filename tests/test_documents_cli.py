@@ -49,6 +49,20 @@ def test_builtin_a21_ex3_and_kronecker():
     assert rep.dims == (1, 2)
 
 
+def test_builtin_documents_share_nothing():
+    # every Kronecker and a21 document once held the same quiver dict, so
+    # editing one document's vertex order reordered every later document
+    for name in ("kronecker-reg:3", "kronecker-preproj:1", "a21-ex3"):
+        doc = emit_builtin(name)
+        doc["quiver"]["vertices"].reverse()
+        doc["quiver"]["arrows"].clear()
+        fresh = emit_builtin(name)
+        assert fresh["quiver"]["vertices"] == sorted(fresh["quiver"]["vertices"])
+        assert fresh["quiver"]["arrows"]
+    _, rep = parse_document(emit_builtin("kronecker-preproj:1"))
+    assert rep.dims == (1, 2)
+
+
 def test_builtin_ray_truncation():
     _, rep = parse_document(emit_builtin("a21-ray:3"))
     assert rep.dims == (1, 2, 1)

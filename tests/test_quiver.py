@@ -176,14 +176,6 @@ def test_affine_battery_null_roots_and_defect():
         assert defect(ed, delta) == 0
 
 
-def test_d4_null_root_doubles_the_center():
-    d4 = Quiver(
-        ["0", "1", "2", "3", "4"],
-        [("a", "1", "0"), ("b", "2", "0"), ("c", "3", "0"), ("d", "4", "0")],
-    )
-    assert compute_euler_data(d4).null_root == (2, 1, 1, 1, 1)
-
-
 def test_defect_signs(kronecker, a21):
     ed_k = compute_euler_data(kronecker)
     assert defect(ed_k, (1, 2)) == -1  # preprojective: strictly negative

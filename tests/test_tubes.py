@@ -19,13 +19,14 @@ from qgrass import (
     compute_euler_data,
     defect,
     direct_sum,
+    enumerate_subreps,
     quasi_socle,
     reduce_mod_p,
     transverse_combinatorial,
     transverse_homological,
     tube_coordinates,
 )
-from conftest import BATTERY, builtin_rep, locus_points, rep_from_ints
+from conftest import BATTERY, builtin_rep, census_points, locus_points, rep_from_ints
 
 F2 = Field.prime(2)
 
@@ -36,24 +37,31 @@ def full_report(name, q):
     return quiver, rep_q, census(rep_q)
 
 
+def full_walk(name, q):
+    """The reduced module and its points of every e, with no tangent data."""
+    quiver, rep = builtin_rep(name)
+    rep_q = reduce_mod_p(rep, q)
+    return quiver, rep_q, enumerate_subreps(rep_q)
+
+
 def test_quasi_socle_example1():
-    quiver, rep, report = full_report("a21-ex1", 2)
-    socle = quasi_socle(report)
+    quiver, rep, points = full_walk("a21-ex1", 2)
+    socle = quasi_socle(rep, points)
     assert socle.dim_vector == (0, 1, 0)
     ker = SubspaceBasis.from_vectors(F2, [[1, 0, 0]], 3)
     assert socle.spaces == (SubspaceBasis.zero(F2, 3), ker, SubspaceBasis.zero(F2, 3))
 
 
 def test_quasi_socle_example3():
-    quiver, rep, report = full_report("a21-ex3", 2)
-    socle = quasi_socle(report)
+    quiver, rep, points = full_walk("a21-ex3", 2)
+    socle = quasi_socle(rep, points)
     assert socle.dim_vector == (0, 1, 0)
     assert socle.spaces[1] == SubspaceBasis.from_vectors(F2, [[1, 0]], 2)
 
 
 def test_quasi_socle_kronecker_regular():
-    quiver, rep, report = full_report("kronecker-reg:2", 2)
-    socle = quasi_socle(report)
+    quiver, rep, points = full_walk("kronecker-reg:2", 2)
+    socle = quasi_socle(rep, points)
     assert socle.dim_vector == (1, 1)
     eigen = SubspaceBasis.from_vectors(F2, [[1, 0]], 2)
     assert socle.spaces == (eigen, eigen)
@@ -68,18 +76,16 @@ def test_quasi_socle_rejects_preprojective():
         {"a": [[1, 0], [0, 1], [0, 0]], "b": [[0, 0], [1, 0], [0, 1]]},
     )
     m = direct_sum(p0, p2)
-    report = census(m)
     with pytest.raises(NotRegularError):
-        quasi_socle(report)
+        quasi_socle(m, enumerate_subreps(m))
 
 
 def test_quasi_socle_ambiguous_for_decomposable_regular():
     # two distinct homogeneous simples side by side: two incomparable minima
     quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
     m = rep_from_ints(quiver, F2, (2, 2), {"a": [[1, 0], [0, 1]], "b": [[0, 0], [0, 1]]})
-    report = census(m)
     with pytest.raises(AmbiguousQuasiSocleError):
-        quasi_socle(report)
+        quasi_socle(m, enumerate_subreps(m))
 
 
 TUBE_EXPECTATIONS = {
@@ -96,9 +102,9 @@ TUBE_EXPECTATIONS = {
 
 def test_tube_coordinates_on_battery():
     for name, (rank, qlen, l, k) in TUBE_EXPECTATIONS.items():
-        quiver, rep, report = full_report(name, 2)
+        quiver, rep, points = full_walk(name, 2)
         ed = compute_euler_data(quiver)
-        socle = quasi_socle(report, ed)
+        socle = quasi_socle(rep, points, ed)
         tube = tube_coordinates(ed, rep.dims, socle.dim_vector)
         assert (tube.tube_rank, tube.quasi_length, tube.l, tube.k) == (rank, qlen, l, k), name
         assert tube.ray_dims[-1] == rep.dims
@@ -115,9 +121,9 @@ def test_example1_ray_dims():
 
 
 def test_homogeneous_ray_dims_are_multiples_of_delta():
-    quiver, rep, report = full_report("kronecker-reg:4", 2)
+    quiver, rep, points = full_walk("kronecker-reg:4", 2)
     ed = compute_euler_data(quiver)
-    tube = tube_coordinates(ed, rep.dims, quasi_socle(report, ed).dim_vector)
+    tube = tube_coordinates(ed, rep.dims, quasi_socle(rep, points, ed).dim_vector)
     assert tube.tube_rank == 1
     for j, d in enumerate(tube.ray_dims):
         assert d == (j, j)
@@ -139,29 +145,31 @@ def test_canonical_ray_submodules_unique_and_nested():
     for name in BATTERY:
         for q in (2, 3):
             quiver, rep, report = full_report(name, q)
+            points = census_points(report)
             ed = compute_euler_data(quiver)
-            tube = tube_coordinates(ed, rep.dims, quasi_socle(report, ed).dim_vector)
-            chain = [canonical_ray_submodule(report, tube, t) for t in range(tube.quasi_length + 1)]
+            tube = tube_coordinates(ed, rep.dims, quasi_socle(rep, points, ed).dim_vector)
+            chain = [canonical_ray_submodule(rep, points, tube, t)
+                     for t in range(tube.quasi_length + 1)]
             for t in range(1, tube.quasi_length + 1):
-                assert len(report.points(tube.ray_dims[t])) == 1, (name, q, t)
+                assert len(report.entries(tube.ray_dims[t])) == 1, (name, q, t)
             for small, big in zip(chain, chain[1:]):
                 assert small.leq(big), (name, q)
 
 
 def test_example1_ray_point_t5():
-    quiver, rep, report = full_report("a21-ex1", 2)
+    quiver, rep, points = full_walk("a21-ex1", 2)
     ed = compute_euler_data(quiver)
     tube = tube_coordinates(ed, rep.dims, (0, 1, 0))
-    point = canonical_ray_submodule(report, tube, 5)
+    point = canonical_ray_submodule(rep, points, tube, 5)
     image = SubspaceBasis.from_vectors(F2, [[1, 0, 0], [0, 1, 0]], 3)
     assert point.dim_vector == (2, 3, 2)
     assert point.spaces == (image, SubspaceBasis.full(F2, 3), image)
-    assert canonical_ray_submodule(report, tube, 1) == quasi_socle(report, ed)
+    assert canonical_ray_submodule(rep, points, tube, 1) == quasi_socle(rep, points, ed)
 
 
 def test_transverse_combinatorial_example1_empty_slice():
     quiver, rep, report = full_report("a21-ex1", 2)
-    comb = transverse_combinatorial(report)
+    comb = transverse_combinatorial(rep, census_points(report))
     assert not comb.rigid
     assert locus_points(report, comb, (0, 2, 1)) == []
     # all three points are pinched between the window submodules
@@ -171,7 +179,7 @@ def test_transverse_combinatorial_example1_empty_slice():
 
 def test_transverse_combinatorial_example2_empty_slice():
     quiver, rep, report = full_report("kronecker-reg:2", 3)
-    comb = transverse_combinatorial(report)
+    comb = transverse_combinatorial(rep, census_points(report))
     assert locus_points(report, comb, (1, 1)) == []
     assert comb.tube.l * comb.tube.tube_rank - 1 == 1
     assert comb.lower == comb.upper  # window collapses to the single ray point
@@ -179,10 +187,10 @@ def test_transverse_combinatorial_example2_empty_slice():
 
 def test_transverse_combinatorial_example3_drops_singular_point():
     quiver, rep, report = full_report("a21-ex3", 2)
-    comb = transverse_combinatorial(report)
+    comb = transverse_combinatorial(rep, census_points(report))
     kept = locus_points(report, comb, (0, 1, 1))
     assert len(kept) == 4
-    excluded = set(report.points((0, 1, 1))) - set(kept)
+    excluded = {entry.point for entry in report.entries((0, 1, 1))} - set(kept)
     assert len(excluded) == 1
     (z,) = excluded
     eigen = SubspaceBasis.from_vectors(F2, [[1, 0]], 2)
@@ -193,8 +201,9 @@ def test_transverse_combinatorial_example3_drops_singular_point():
 
 def test_transverse_combinatorial_rigid_keeps_everything():
     quiver, rep = builtin_rep("kronecker-preproj:1")
-    report = census(reduce_mod_p(rep, 2))
-    comb = transverse_combinatorial(report)
+    rep_2 = reduce_mod_p(rep, 2)
+    report = census(rep_2)
+    comb = transverse_combinatorial(rep_2, census_points(report))
     assert comb.rigid
     assert (comb.lower, comb.upper) == (None, None)
     for e, entries in report.entries_by_e.items():
@@ -204,7 +213,7 @@ def test_transverse_combinatorial_rigid_keeps_everything():
 
 def test_vacuous_window_keeps_everything():
     quiver, rep, report = full_report("a21-ray:3", 2)
-    comb = transverse_combinatorial(report)
+    comb = transverse_combinatorial(rep, census_points(report))
     assert comb.tube.vacuous_window
     for e, entries in report.entries_by_e.items():
         assert locus_points(report, comb, e) == [entry.point for entry in entries]
@@ -215,12 +224,57 @@ def test_excluded_points_always_have_ext():
     for name in BATTERY:
         for q in (2, 3):
             quiver, rep, report = full_report(name, q)
-            comb = transverse_combinatorial(report)
+            comb = transverse_combinatorial(rep, census_points(report))
             if comb.rigid:
                 continue
             for entry in report.all_entries():
                 if comb.flags(entry.point) == (True, True):
                     assert entry.ext_dim >= 1, (name, q, entry.point.dim_vector)
+
+
+def test_one_slice_of_points_is_refused():
+    # quasi-socle and window need the points of every e; a single slice,
+    # from the walk or from a one-slice census, is an InputError
+    quiver, rep = builtin_rep("a21-ex3")
+    rep_2 = reduce_mod_p(rep, 2)
+    rigid = reduce_mod_p(builtin_rep("kronecker-preproj:1")[1], 2)
+    for m, e in ((rep_2, (0, 1, 1)), (rep_2, (0, 0, 0)), (rep_2, rep_2.dims), (rigid, (0, 1))):
+        for points in (enumerate_subreps(m, e), census_points(census(m, e))):
+            assert points, (m.dims, e)
+            with pytest.raises(InputError, match="every dimension vector"):
+                transverse_combinatorial(m, points)
+            if m is rep_2:
+                with pytest.raises(InputError, match="every dimension vector"):
+                    quasi_socle(m, points)
+    # the full walk passes the same guard
+    assert quasi_socle(rep_2, enumerate_subreps(rep_2)).dim_vector == (0, 1, 0)
+
+
+def test_cli_tube_computes_no_tangent_data(monkeypatch):
+    import contextlib
+    import importlib
+    import io
+
+    from qgrass.cli import main as cli_main
+
+    census_module = importlib.import_module("qgrass.census")
+    real = census_module.sub_quotient
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(census_module, "sub_quotient", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(["tube", "--builtin", "a21-ex3", "--q", "2,3"]) == 0
+    assert calls == []
+    assert '"quasi_socle"' in out.getvalue()
+    # the wrap does see the census that check runs
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(["check", "--builtin", "a21-ex3", "--q", "2"]) == 0
+    assert calls
 
 
 def test_compare_transverse_loci_battery_members():
