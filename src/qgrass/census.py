@@ -4,7 +4,7 @@ For a representation M over F_q and a dimension vector e, the points of the
 quiver Grassmannian are the tuples of subspaces (V_i), dim V_i = e_i, with
 M_a(V_i) <= V_j for every arrow a: i -> j.  Enumeration walks the vertices
 in topological order, so when V_j is chosen every in-arrow source is already
-fixed and the span of its images prunes the candidate cells eagerly.
+fixed, and the walk lists only the subspaces that contain their images.
 
 Each point N gets its homological data dim Hom(N, M/N) and dim Ext^1(N, M/N);
 ext = 0 marks N as homologically transverse, and hom is the tangent-space
@@ -25,7 +25,6 @@ from .fields import Field, next_prime
 from .linalg import (
     Matrix,
     SubspaceBasis,
-    _subspaces_cached,
     gaussian_binomial,
     kernel_basis,
     rref,
@@ -92,8 +91,8 @@ def enumerate_subreps(m: Representation, e=None) -> list[SubrepPoint]:
     every e <= dims, from one walk of the subrepresentation tree.
 
     The walk takes the vertices in topological order.  At each vertex j it
-    tries every admissible dimension k in increasing order, then the Schubert
-    cells of Gr(k, d_j) that contain W, the span of the in-arrow images, in
+    tries every admissible dimension k in increasing order, then the
+    k-subspaces of M_j that contain W, the span of the in-arrow images, in
     SubspaceBasis.sort_key order.  So the points come out sorted by their
     per-vertex sort keys along the topological order, and each e's points
     in the same order as enumerate_subreps(m, e).
@@ -109,25 +108,24 @@ def enumerate_subreps(m: Representation, e=None) -> list[SubrepPoint]:
     return out
 
 
-def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, dim_vectors, out):
+def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, out):
     """Append to out the points that extend the spaces chosen at order[:pos].
 
-    dim_vectors maps each target e to itself, so that every point of a
-    slice shares one dim_vector tuple.
+    shared maps each target e, and each listed space's key, to the first
+    equal object, so that points share dim_vector tuples and equal spaces.
     """
     if pos == len(order):
-        out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=dim_vectors[tuple(e)]))
+        out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=shared[tuple(e)]))
         return
     j = order[pos]
-    reqs, _ = _required_span(m.field, in_arrows[j], chosen)
+    reqs, pivots = _required_span(m.field, in_arrows[j], chosen)
     for k in ranges[j]:
         if k < len(reqs):
             continue
         e[j] = k
-        for cand in _subspaces_cached(m.dims[j], k, m.field.p):
-            if all(cand.contains_vector(w) for w in reqs):
-                chosen[j] = cand
-                _subreps_from(pos + 1, m, order, in_arrows, ranges, chosen, e, dim_vectors, out)
+        for cand in subspaces_containing(m.dims[j], k, m.field.p, reqs, pivots):
+            chosen[j] = shared.setdefault((cand.ambient_dim, cand.matrix.entries), cand)
+            _subreps_from(pos + 1, m, order, in_arrows, ranges, chosen, e, shared, out)
     chosen[j] = None
 
 

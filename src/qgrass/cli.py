@@ -136,13 +136,13 @@ def _run_command(args) -> int:
 
     if args.command == "tube":
         results = []
+        ed = compute_euler_data(quiver)
         for q in q_list:
             rep_q = reduce_mod_p(rep, q)
             if is_rigid(rep_q):
                 results.append({"q": q, "rigid": True})
                 continue
             points = enumerate_subreps(rep_q)
-            ed = compute_euler_data(quiver)
             socle = quasi_socle(rep_q, points, ed)
             tube = tube_coordinates(ed, rep_q.dims, socle.dim_vector)
             rays = []

@@ -26,6 +26,7 @@ from qgrass import (
     counting_polynomial,
     enumerate_subreps,
     euler_form,
+    gaussian_binomial,
     is_rigid,
     is_subrep,
     point_counts,
@@ -219,20 +220,22 @@ def test_point_counts_match_enumeration(name, q):
         assert point_counts(rep, e) == {e: count}
 
 
-def test_walk_over_every_e_scans_only_cells_that_can_hold_w(monkeypatch):
+def test_walk_over_every_e_lists_only_children_that_contain_w(monkeypatch):
     # a node of the walk is a prefix of some point (extend it by the full
-    # spaces), and it scans the cells of Gr(k, d_j) for k >= dim W only
+    # spaces), and it lists the k-subspaces of M_j containing W for each
+    # k >= r = dim W: gaussian_binomial(d_j - r, k - r) of them
     module = importlib.import_module("qgrass.census")
-    cells, scanned = module._subspaces_cached, []
+    listing, listed = module.subspaces_containing, []
 
-    def counted(d, k, p):
-        scanned.append(len(cells(d, k, p)))
-        return cells(d, k, p)
+    def counted(d, k, p, w_rows, w_pivots):
+        children = listing(d, k, p, w_rows, w_pivots)
+        listed.append(len(children))
+        return children
 
-    monkeypatch.setattr(module, "_subspaces_cached", counted)
+    monkeypatch.setattr(module, "subspaces_containing", counted)
     for name, q in (("a21-ray:3", 3), ("kronecker-reg:2", 2), ("kronecker-preproj:2", 2)):
         _, rep = modp(name, q)
-        scanned.clear()
+        listed.clear()
         points = enumerate_subreps(rep)
         quiver, idx = rep.quiver, rep.quiver.vertex_index
         expected = 0
@@ -247,8 +250,17 @@ def test_walk_over_every_e_scans_only_cells_that_can_hold_w(monkeypatch):
                     for r in range(chosen[idx[a.source]].dim)
                 ]
                 w = SubspaceBasis.from_vectors(rep.field, images, d).dim
-                expected += sum(len(cells(d, k, q)) for k in range(w, d + 1))
-        assert sum(scanned) == expected, (name, q)
+                expected += sum(gaussian_binomial(d - w, k - w, q) for k in range(w, d + 1))
+        assert sum(listed) == expected, (name, q)
+
+
+def test_points_of_one_walk_share_equal_spaces():
+    # listed children are fresh objects; the walk keeps one per distinct space
+    for name, q in (("a21-ray:5", 3), ("kronecker-reg:3", 2)):
+        _, rep = modp(name, q)
+        spaces = [s for pt in enumerate_subreps(rep) for s in pt.spaces]
+        keys = {(s.ambient_dim, s.matrix.entries) for s in spaces}
+        assert len({id(s) for s in spaces}) == len(keys), (name, q)
 
 
 # The vertex before the sink is counted in closed form when it has at most
