@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import CountNotPolynomialError, InputError, InternalCheckError
-from .fields import Field, next_prime
+from .fields import Field, distinct_primes, next_prime
 from .linalg import (
     Matrix,
     SubspaceBasis,
@@ -64,14 +64,6 @@ class CensusEntry:
 class CensusReport:
     rep: Representation
     entries_by_e: dict
-
-    @property
-    def quiver(self):
-        return self.rep.quiver
-
-    @property
-    def field(self) -> Field:
-        return self.rep.field
 
     def entries(self, e) -> list[CensusEntry]:
         return self.entries_by_e.get(tuple(e), [])
@@ -360,9 +352,7 @@ def counting_polynomial(m: Representation, e, q_list) -> CountingPolynomial:
     """
     if not m.field.is_rationals:
         raise InputError("counting_polynomial expects a representation over the rationals")
-    q_list = [Field.prime(q).p for q in q_list]  # checked primes, never truncated
-    if len(set(q_list)) != len(q_list) or not q_list:
-        raise InputError("need a nonempty list of distinct primes")
+    q_list = distinct_primes(q_list)
     e = m.quiver.check_dim_vector(e)
     check_q = next_prime(max(q_list))
     samples = [(q, point_counts(reduce_mod_p(m, q), e)[e]) for q in [*q_list, check_q]]

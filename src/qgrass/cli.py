@@ -19,7 +19,7 @@ from .builtin import emit_builtin
 from .census import CountingPolynomial, census, enumerate_subreps, point_counts, transverse_homological
 from .documents import document_digest, parse_document, read_document
 from .errors import InputError, InternalCheckError
-from .fields import is_prime, next_prime
+from .fields import distinct_primes, next_prime
 from .quiver import compute_euler_data, euler_form
 from .reps import is_rigid, reduce_mod_p
 from .tubes import (
@@ -126,7 +126,7 @@ def _run_command(args) -> int:
                         "e": list(e),
                         "total_points": len(report.entries(e)),
                         "transverse_points": len(pts),
-                        "points": [_point_obj(report.quiver, p) for p in pts],
+                        "points": [_point_obj(quiver, p) for p in pts],
                     }
                 )
             results.append({"q": q, "per_e": per_e})
@@ -223,14 +223,7 @@ def _parse_primes(text: str) -> list[int]:
         qs = [int(x) for x in text.split(",") if x.strip()]
     except ValueError:
         raise InputError(f"bad prime list {text!r}") from None
-    if not qs:
-        raise InputError("empty prime list")
-    for q in qs:
-        if not is_prime(q):
-            raise InputError(f"{q} is not prime")
-    if len(set(qs)) != len(qs):
-        raise InputError("duplicate primes")
-    return qs
+    return distinct_primes(qs)
 
 
 def _parse_e(args, quiver):
@@ -255,8 +248,8 @@ def _census_result(rep_q, q: int, e_sel) -> dict:
             "e": list(e),
             "total_points": len(entries),
             "transverse_points": sum(1 for x in entries if x.homologically_transverse),
-            "euler_form": euler_form(report.quiver, e, tuple(d - x for d, x in zip(rep_q.dims, e))),
-            "entries": [_entry_obj(report.quiver, x) for x in entries],
+            "euler_form": euler_form(rep_q.quiver, e, tuple(d - x for d, x in zip(rep_q.dims, e))),
+            "entries": [_entry_obj(rep_q.quiver, x) for x in entries],
         }
         for e, entries in report.entries_by_e.items()
     ]

@@ -136,6 +136,15 @@ class Field:
         return "Field(Q)" if self.p is None else f"Field(F_{self.p})"
 
 
+def distinct_primes(q_list) -> list[int]:
+    """The primes of q_list, each checked by Field.prime (so never truncated);
+    the list must be nonempty and repeat none."""
+    qs = [Field.prime(q).p for q in q_list]
+    if not qs or len(set(qs)) != len(qs):
+        raise InputError("need a nonempty list of distinct primes")
+    return qs
+
+
 def _inverse_table(p: int) -> list:
     # inv[a] = -(p // a) * inv[p % a] mod p, the standard linear-time recurrence
     inv = [0] * p

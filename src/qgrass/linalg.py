@@ -255,13 +255,6 @@ class SubspaceBasis:
                     w = [x - coeff * y for x, y in zip(w, row)]
         return w
 
-    def coefficients(self, v) -> list:
-        """Coordinates of v in this basis; raises if v is not in the span."""
-        coeffs = [v[pc] for pc in self.pivots]
-        if any(x != 0 for x in self.reduce_vector(v)):
-            raise InputError("vector is not in the subspace")
-        return coeffs
-
     def contains_vector(self, v) -> bool:
         return all(x == 0 for x in self.reduce_vector(v))
 

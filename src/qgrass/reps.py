@@ -148,10 +148,10 @@ def sub_quotient(m: Representation, spaces) -> tuple[Representation, Representat
     unit vectors in the non-pivot positions, and the class of a vector v is
     read off by eliminating pivot coordinates and restricting to non-pivots.
     Different canonical choices change the matrices only by isomorphism.
+    Each image M_a b of a sub basis row is computed once: its residual checks
+    membership, and its entries at the target's pivots are its coordinates.
     """
     spaces = _check_spaces(m, spaces)
-    if not is_subrep(m, spaces):
-        raise InputError("the given spaces are not a subrepresentation")
     quiver, field = m.quiver, m.field
     idx = quiver.vertex_index
     sub_dims = tuple(s.dim for s in spaces)
@@ -167,18 +167,16 @@ def sub_quotient(m: Representation, spaces) -> tuple[Representation, Representat
         mat = m.matrices[a.name]
         si, sj = spaces[i], spaces[j]
 
-        cols = []
-        for c in range(si.dim):
-            cols.append(sj.coefficients(mat.apply(si.matrix.row(c))))
-        sub_mats[a.name] = _from_columns(field, sub_dims[j], sub_dims[i], cols)
+        images = [mat.apply(si.matrix.row(r)) for r in range(si.dim)]
+        if any(any(sj.reduce_vector(v)) for v in images):
+            raise InputError("the given spaces are not a subrepresentation")
+        sub_entries = [v[t] for t in sj.pivots for v in images]
+        sub_mats[a.name] = Matrix(field, sub_dims[j], sub_dims[i], sub_entries)
 
-        qshape_cols = []
-        for c in nonpivots[i]:
-            unit = [field.zero] * m.dims[i]
-            unit[c] = field.one
-            residual = sj.reduce_vector(mat.apply(unit))
-            qshape_cols.append([residual[t] for t in nonpivots[j]])
-        quot_mats[a.name] = _from_columns(field, quot_dims[j], quot_dims[i], qshape_cols)
+        # the columns of M_a at the non-pivots, modulo the target space
+        residuals = [sj.reduce_vector(mat.entries[c :: mat.cols]) for c in nonpivots[i]]
+        quot_entries = [v[t] for t in nonpivots[j] for v in residuals]
+        quot_mats[a.name] = Matrix(field, quot_dims[j], quot_dims[i], quot_entries)
 
     sub = Representation(quiver, field, sub_dims, sub_mats)
     quot = Representation(quiver, field, quot_dims, quot_mats)
@@ -235,8 +233,3 @@ def _check_spaces(m: Representation, spaces) -> tuple[SubspaceBasis, ...]:
             raise InputError("subspace field mismatch")
     return spaces
 
-
-def _from_columns(field: Field, rows: int, cols: int, columns) -> Matrix:
-    if len(columns) != cols or any(len(c) != rows for c in columns):
-        raise InternalCheckError(f"columns do not form a {rows}x{cols} matrix")
-    return Matrix(field, rows, cols, [columns[c][r] for r in range(rows) for c in range(cols)])

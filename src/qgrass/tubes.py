@@ -29,7 +29,7 @@ from .errors import (
     RayAmbiguityError,
     RigidRegularError,
 )
-from .fields import Field
+from .fields import distinct_primes
 from .linalg import SubspaceBasis
 from .quiver import EulerData, compute_euler_data, coxeter_apply, defect
 from .reps import Representation, is_rigid, reduce_mod_p
@@ -276,9 +276,7 @@ def compare_transverse_loci(m: Representation, q_list) -> TransverseComparison:
     """
     if not m.field.is_rationals:
         raise InputError("compare_transverse_loci expects a representation over the rationals")
-    q_list = [Field.prime(q).p for q in q_list]  # checked before any census runs
-    if len(set(q_list)) != len(q_list) or not q_list:
-        raise InputError("need a nonempty list of distinct primes")
+    q_list = distinct_primes(q_list)  # checked before any census runs
 
     per_field = []
     counterexamples = []

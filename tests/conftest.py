@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 
@@ -51,6 +52,51 @@ def rep_from_ints(quiver: Quiver, field: Field, dims, matrices: dict) -> Represe
         flat = [field.from_int(x) for row in rows for x in row]
         mats[a.name] = Matrix(field, want[0], want[1], flat)
     return Representation(quiver, field, dims, mats)
+
+
+def twist(rep: Representation, seed: int) -> Representation:
+    """rep under a dense change of basis P_v = L_v U_v at every vertex, with
+    L_v lower and U_v upper unitriangular and off-diagonal entries drawn from
+    {-1, 0, 1}: M_a becomes P_j M_a P_i^-1 for a: i -> j.  det P_v = 1, so
+    P_v is invertible over every field and the twist is isomorphic to rep,
+    while its matrices are no longer 0/1."""
+    rng = random.Random(seed)
+    change = []
+    for d in rep.dims:
+        lower = [[int(i == j) if j >= i else rng.choice((-1, 0, 1)) for j in range(d)] for i in range(d)]
+        upper = [[int(i == j) if j <= i else rng.choice((-1, 0, 1)) for j in range(d)] for i in range(d)]
+        # (L U)^-1 = U^-1 L^-1, and U^-1 is the transpose of (U^T)^-1
+        upper_inv = _transpose(_lower_unitriangular_inverse(_transpose(upper)))
+        p, p_inv = _matmul(lower, upper, d), _matmul(upper_inv, _lower_unitriangular_inverse(lower), d)
+        assert _matmul(p, p_inv, d) == [[int(i == j) for j in range(d)] for i in range(d)]
+        change.append((p, p_inv))
+    idx = rep.quiver.vertex_index
+    field = rep.field
+    mats = {}
+    for a in rep.quiver.arrows:
+        i, j = idx[a.source], idx[a.target]
+        m = rep.matrices[a.name].to_rows()
+        moved = _matmul(_matmul(change[j][0], m, rep.dims[i]), change[i][1], rep.dims[i])
+        mats[a.name] = Matrix(field, rep.dims[j], rep.dims[i], [field.from_int(x) for row in moved for x in row])
+    return Representation(rep.quiver, field, rep.dims, mats)
+
+
+def _matmul(a: list, b: list, cols: int) -> list:
+    # cols is given so that matrices with no rows keep their shape
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)] for i in range(len(a))]
+
+
+def _transpose(a: list) -> list:
+    return [list(col) for col in zip(*a)]
+
+
+def _lower_unitriangular_inverse(t: list) -> list:
+    # forward substitution on T X = I; the entries stay integers
+    n = len(t)
+    x = []
+    for i in range(n):
+        x.append([int(i == j) - sum(t[i][k] * x[k][j] for k in range(i)) for j in range(n)])
+    return x
 
 
 def census_points(report) -> list:

@@ -33,7 +33,7 @@ from qgrass import (
     reduce_mod_p,
     transverse_homological,
 )
-from conftest import BATTERY, builtin_rep, rep_from_ints
+from conftest import BATTERY, builtin_rep, rep_from_ints, twist
 
 F2 = Field.prime(2)
 
@@ -218,6 +218,20 @@ def test_point_counts_match_enumeration(name, q):
         assert slices[e] == enumerate_subreps(rep, e), e
         assert count == len(slices[e]), e
         assert point_counts(rep, e) == {e: count}
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_census_tally_is_independent_of_coordinates(name):
+    # P M P^-1 is isomorphic to M, so each Gr_e has as many points with each
+    # (hom, ext); the twist's dense matrices leave quotient residuals off 0/1
+    for q in (2, 3):
+        _, rep = modp(name, q)
+        for seed in (1, 2):
+            plain, dense = census(rep), census(twist(rep, seed))
+            assert list(plain.entries_by_e) == list(dense.entries_by_e)
+            for e in plain.entries_by_e:
+                tally = [sorted((x.hom_dim, x.ext_dim) for x in r.entries(e)) for r in (plain, dense)]
+                assert tally[0] == tally[1], (name, q, seed, e)
 
 
 def test_walk_over_every_e_lists_only_children_that_contain_w(monkeypatch):

@@ -11,6 +11,7 @@ import pytest
 from qgrass import (
     InputError,
     builtin_names,
+    compare_transverse_loci,
     document_digest,
     emit_builtin,
     parse_document,
@@ -268,6 +269,20 @@ def test_cli_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
     code, _, err = run_cli(capsys, "census", "--builtin", "a21-ex3", "--e", "1,2")
     assert code == 2
+
+
+def test_cli_checks_prime_lists_like_the_library(capsys):
+    # the CLI parses ints and leaves every other check to the library's
+    _, rep = parse_document(emit_builtin("a21-ex3"))
+    for text, primes in (("4", [4]), ("2,2", [2, 2]), (",", []), ("3, 5,3", [3, 5, 3])):
+        with pytest.raises(InputError) as library:
+            compare_transverse_loci(rep, primes)
+        for command in ("census", "check", "chi"):
+            code, out, err = run_cli(capsys, command, "--builtin", "a21-ex3", "--q", text)
+            assert (code, out) == (2, ""), (command, text)
+            assert err == f"error: {library.value}\n", (command, text)
+    code, out, err = run_cli(capsys, "census", "--builtin", "a21-ex3", "--q", "2,x")
+    assert (code, out, err) == (2, "", "error: bad prime list '2,x'\n")
 
 
 @pytest.mark.parametrize("command", ["check", "tube"])

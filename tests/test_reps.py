@@ -17,6 +17,7 @@ from qgrass import (
     Representation,
     SubspaceBasis,
     direct_sum,
+    enumerate_subreps,
     euler_form,
     hom_ext,
     is_rigid,
@@ -24,7 +25,7 @@ from qgrass import (
     reduce_mod_p,
     sub_quotient,
 )
-from conftest import PACKAGE_ROOT, rep_from_ints
+from conftest import PACKAGE_ROOT, builtin_rep, rep_from_ints, twist
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -181,6 +182,82 @@ def test_sub_quotient_requires_subrep():
     bad = (SubspaceBasis.from_vectors(F2, [[0, 1]], 2), SubspaceBasis.zero(F2, 2))
     with pytest.raises(InputError):
         sub_quotient(m, bad)
+    # a = identity keeps the line e_1, b = the Jordan block sends it to e_0:
+    # only the second arrow leaves the spaces
+    line = SubspaceBasis.from_vectors(F2, [[0, 1]], 2)
+    assert [a.name for a in m.quiver.arrows] == ["a", "b"]
+    with pytest.raises(InputError, match="^the given spaces are not a subrepresentation$"):
+        sub_quotient(m, (line, line))
+    # (F^2, <e_0>): a sends e_0, e_1 to e_0, 0 and b = identity keeps e_0, so
+    # only the image of the second basis row under the second arrow leaves
+    m = rep_from_ints(m.quiver, F2, (2, 2), {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]]})
+    first = SubspaceBasis.from_vectors(F2, [[1, 0]], 2)
+    with pytest.raises(InputError, match="^the given spaces are not a subrepresentation$"):
+        sub_quotient(m, (SubspaceBasis.full(F2, 2), first))
+    assert sub_quotient(m, (first, first))[0].dims == (1, 1)
+
+
+def _walk_modules():
+    """a21-ex3 and kronecker-reg:3 at q = 2, 3, each as built and twisted by a
+    dense change of basis, so that quotient residuals are not 0/1."""
+    for name in ("a21-ex3", "kronecker-reg:3"):
+        _, rep = builtin_rep(name)
+        for q in (2, 3):
+            m = reduce_mod_p(rep, q)
+            yield name, q, m
+            yield f"{name} twisted", q, twist(m, seed=q)
+
+
+def test_sub_quotient_blocks_satisfy_their_defining_identities():
+    # in the basis of M_i made of N_i's RREF rows b and the unit vectors at
+    # N_i's non-pivot columns, M_a is block upper triangular: the sub block S
+    # writes M_a b_c in the rows of N_j, and the quotient block Q writes
+    # M_a e_c modulo N_j in the unit vectors at N_j's non-pivot columns
+    for name, q, m in _walk_modules():
+        idx = m.quiver.vertex_index
+        for point in enumerate_subreps(m):
+            sub, quot = sub_quotient(m, point.spaces)
+            for a in m.quiver.arrows:
+                i, j = idx[a.source], idx[a.target]
+                mat, ni, nj = m.matrices[a.name], point.spaces[i], point.spaces[j]
+                s, qa = sub.matrices[a.name], quot.matrices[a.name]
+                di, dj = m.dims[i], m.dims[j]
+                free_i = [c for c in range(di) if c not in ni.pivots]
+                free_j = [c for c in range(dj) if c not in nj.pivots]
+                assert (s.rows, s.cols) == (nj.dim, ni.dim)
+                assert (qa.rows, qa.cols) == (len(free_j), len(free_i))
+                for c in range(ni.dim):
+                    image = [sum(mat.at(t, k) * ni.matrix.at(c, k) for k in range(di)) % q for t in range(dj)]
+                    combo = [sum(s.at(r, c) * nj.matrix.at(r, t) for r in range(nj.dim)) % q for t in range(dj)]
+                    assert image == combo, (name, q, point.dim_vector, a.name, c)
+                for c, col in enumerate(free_i):
+                    residual = [mat.at(t, col) for t in range(dj)]
+                    for r, t in enumerate(free_j):
+                        residual[t] -= qa.at(r, c)
+                    rows = nj.matrix.to_rows() + [[x % q for x in residual]]
+                    span = SubspaceBasis.from_vectors(m.field, rows, dj)
+                    assert span.dim == nj.dim, (name, q, point.dim_vector, a.name, col)
+
+
+def test_sub_quotient_applies_m_once_per_basis_image(monkeypatch):
+    # one product M_a b per row b of N_{s(a)}: membership and the sub block
+    # read the same image, and the quotient block reads columns of M_a
+    apply, calls = Matrix.apply, []
+
+    def counted(self, vec):
+        calls.append(len(vec))
+        return apply(self, vec)
+
+    monkeypatch.setattr(Matrix, "apply", counted)
+    _, rep = builtin_rep("a21-ex3")
+    for q in (2, 3):
+        m = reduce_mod_p(rep, q)
+        idx = m.quiver.vertex_index
+        for point in enumerate_subreps(m):
+            calls.clear()
+            sub_quotient(m, point.spaces)
+            expected = sum(point.dim_vector[idx[a.source]] for a in m.quiver.arrows)
+            assert len(calls) == expected, (q, point.dim_vector)
 
 
 def test_reduce_mod_p():
