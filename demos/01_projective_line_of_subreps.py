@@ -16,7 +16,6 @@ from qgrass import (
     euler_form,
     parse_document,
     reduce_mod_p,
-    transverse_homological,
 )
 
 quiver, module = parse_document(emit_builtin("a21-ex1"))
@@ -27,12 +26,11 @@ print(f"module dims {module.dims} on {quiver}")
 print(f"slice e = {e},  <e, d-e> = {euler_form(quiver, e, complement)}")
 
 for q in (2, 3, 5):
-    report = census(reduce_mod_p(module, q), e)
-    entries = report.entries(e)
+    entries = census(reduce_mod_p(module, q), e)[e]
     exts = sorted(entry.ext_dim for entry in entries)
     print(
         f"q = {q}: {len(entries)} points (= q + 1), ext dims {exts}, "
-        f"transverse points: {len(transverse_homological(report, e))}"
+        f"transverse points: {sum(x.ext_dim == 0 for x in entries)}"
     )
 
 poly = counting_polynomial(module, e, [2, 3])

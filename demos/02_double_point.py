@@ -15,7 +15,6 @@ from qgrass import (
     parse_document,
     reduce_mod_p,
     transverse_combinatorial,
-    transverse_homological,
 )
 
 quiver, module = parse_document(emit_builtin("kronecker-reg:2"))
@@ -24,13 +23,13 @@ e = (1, 1)
 for q in (2, 3, 5):
     rep = reduce_mod_p(module, q)
     report = census(rep)
-    entries = report.entries(e)
+    entries = report[e]
     (entry,) = entries
-    comb = transverse_combinatorial(rep, [x.point for x in report.all_entries()])
+    comb = transverse_combinatorial(rep, [x.point for xs in report.values() for x in xs])
     print(
         f"q = {q}: |Gr_(1,1)| = {len(entries)}, hom = {entry.hom_dim}, "
         f"ext = {entry.ext_dim}, homological transverse = "
-        f"{len(transverse_homological(report, e))}, "
+        f"{sum(x.ext_dim == 0 for x in entries)}, "
         f"combinatorial = {sum(comb.contains(x.point) for x in entries)}"
     )
 

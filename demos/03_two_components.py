@@ -14,7 +14,6 @@ from qgrass import (
     parse_document,
     reduce_mod_p,
     transverse_combinatorial,
-    transverse_homological,
 )
 
 quiver, module = parse_document(emit_builtin("a21-ex3"))
@@ -23,7 +22,7 @@ e = (0, 1, 1)
 for q in (2, 3):
     rep = reduce_mod_p(module, q)
     report = census(rep)
-    entries = report.entries(e)
+    entries = report[e]
     singular = [x for x in entries if x.ext_dim > 0]
     print(f"q = {q}: {len(entries)} points = 2q + 1")
     for entry in entries:
@@ -31,8 +30,8 @@ for q in (2, 3):
         rows = [spaces[1].matrix.to_rows(), spaces[2].matrix.to_rows()]
         marker = "  <- singular crossing" if entry.ext_dim else ""
         print(f"  V2 = {rows[0]}, V3 = {rows[1]}: tangent dim {entry.hom_dim}{marker}")
-    hom = set(transverse_homological(report, e))
-    locus = transverse_combinatorial(rep, [x.point for x in report.all_entries()])
+    hom = {x.point for x in entries if x.ext_dim == 0}
+    locus = transverse_combinatorial(rep, [x.point for xs in report.values() for x in xs])
     comb = {x.point for x in entries if locus.contains(x.point)}
-    assert hom == comb == {x.point for x in entries if x.ext_dim == 0}
+    assert hom == comb
     print(f"  both transverse loci = the {len(hom)} smooth points\n")

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .builtin import builtin_names, emit_builtin
 from .census import (
     CensusEntry,
-    CensusReport,
     CountingPolynomial,
     SubrepPoint,
     all_dim_vectors,
@@ -20,7 +19,6 @@ from .census import (
     counting_polynomial,
     enumerate_subreps,
     point_counts,
-    transverse_homological,
 )
 from .documents import (
     document_digest,
@@ -83,7 +81,6 @@ __all__ = [
     "AmbiguousQuasiSocleError",
     "Arrow",
     "CensusEntry",
-    "CensusReport",
     "CombinatorialTransverse",
     "CountNotPolynomialError",
     "CountingPolynomial",
@@ -136,6 +133,5 @@ __all__ = [
     "rref",
     "sub_quotient",
     "transverse_combinatorial",
-    "transverse_homological",
     "tube_coordinates",
 ]

@@ -51,31 +51,12 @@ class SubrepPoint:
 
 @dataclass
 class CensusEntry:
+    """One point N of a census with dim Hom(N, M/N) and dim Ext^1(N, M/N);
+    ext_dim = 0 marks N as homologically transverse."""
+
     point: SubrepPoint
     hom_dim: int
     ext_dim: int
-
-    @property
-    def homologically_transverse(self) -> bool:
-        return self.ext_dim == 0
-
-
-@dataclass
-class CensusReport:
-    rep: Representation
-    entries_by_e: dict
-
-    def entries(self, e) -> list[CensusEntry]:
-        return self.entries_by_e.get(tuple(e), [])
-
-    def all_entries(self) -> list[CensusEntry]:
-        return [entry for entries in self.entries_by_e.values() for entry in entries]
-
-    def total_points(self) -> int:
-        return sum(len(v) for v in self.entries_by_e.values())
-
-    def total_transverse(self) -> int:
-        return sum(1 for entry in self.all_entries() if entry.homologically_transverse)
 
 
 def enumerate_subreps(m: Representation, e=None) -> list[SubrepPoint]:
@@ -255,8 +236,10 @@ def all_dim_vectors(dims) -> list[tuple[int, ...]]:
     return [tuple(e) for e in product(*(range(d + 1) for d in dims))]
 
 
-def census(m: Representation, e=None) -> CensusReport:
-    """Per-point homological census; e = None means every e <= dims."""
+def census(m: Representation, e=None) -> dict:
+    """Per-point homological census: each target e, every e <= dims in
+    all_dim_vectors order for e = None, maps to its CensusEntry list in
+    walk order, empty slices included."""
     complete = e is None
     targets = all_dim_vectors(m.dims) if complete else [m.quiver.check_dim_vector(e)]
     entries_by_e: dict = {target: [] for target in targets}
@@ -265,15 +248,9 @@ def census(m: Representation, e=None) -> CensusReport:
         he = hom_ext(sub, quot)
         entry = CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim)
         entries_by_e[point.dim_vector].append(entry)
-    report = CensusReport(rep=m, entries_by_e=entries_by_e)
-    if complete and not (len(report.entries((0,) * m.quiver.n)) == len(report.entries(m.dims)) == 1):
+    if complete and not (len(entries_by_e[(0,) * m.quiver.n]) == len(entries_by_e[m.dims]) == 1):
         raise InternalCheckError("a full census needs exactly one point at e = 0 and one at e = dims")
-    return report
-
-
-def transverse_homological(report: CensusReport, e) -> list[SubrepPoint]:
-    """Points of Gr_e with Ext^1(N, M/N) = 0."""
-    return [entry.point for entry in report.entries(e) if entry.homologically_transverse]
+    return entries_by_e
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Commands: census, transverse, tube, check, chi, example.  Reports go to
 standard output (deterministic JSON by default, or a plain-text table);
 diagnostics and timing go to standard error.  Exit codes: 0 success (for
 check: loci coincide), 1 check found a counterexample, 2 input or usage
-error, 3 internal assertion failure.
+error, 3 internal assertion failure or any other unexpected error.
 """
 
 from __future__ import annotations
@@ -13,10 +13,11 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
 from . import __version__
 from .builtin import emit_builtin
-from .census import CountingPolynomial, census, enumerate_subreps, point_counts, transverse_homological
+from .census import CountingPolynomial, census, enumerate_subreps, point_counts
 from .documents import document_digest, parse_document, read_document
 from .errors import InputError, InternalCheckError
 from .fields import distinct_primes, next_prime
@@ -85,6 +86,10 @@ def main(argv=None) -> int:
     except InternalCheckError as exc:
         print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return EXIT_INTERNAL
     print(f"{args.command} completed in {time.monotonic() - start:.2f}s", file=sys.stderr)
     return code
 
@@ -117,14 +122,13 @@ def _run_command(args) -> int:
     if args.command == "transverse":
         results = []
         for q in q_list:
-            report = census(reduce_mod_p(rep, q), e_sel)
             per_e = []
-            for e in report.entries_by_e:
-                pts = transverse_homological(report, e)
+            for e, entries in census(reduce_mod_p(rep, q), e_sel).items():
+                pts = [x.point for x in entries if x.ext_dim == 0]
                 per_e.append(
                     {
                         "e": list(e),
-                        "total_points": len(report.entries(e)),
+                        "total_points": len(entries),
                         "transverse_points": len(pts),
                         "points": [_point_obj(quiver, p) for p in pts],
                     }
@@ -242,22 +246,21 @@ def _parse_e(args, quiver):
 
 
 def _census_result(rep_q, q: int, e_sel) -> dict:
-    report = census(rep_q, e_sel)
     per_e = [
         {
             "e": list(e),
             "total_points": len(entries),
-            "transverse_points": sum(1 for x in entries if x.homologically_transverse),
+            "transverse_points": sum(1 for x in entries if x.ext_dim == 0),
             "euler_form": euler_form(rep_q.quiver, e, tuple(d - x for d, x in zip(rep_q.dims, e))),
             "entries": [_entry_obj(rep_q.quiver, x) for x in entries],
         }
-        for e, entries in report.entries_by_e.items()
+        for e, entries in census(rep_q, e_sel).items()
     ]
     return {
         "q": q,
         "dims": list(rep_q.dims),
-        "total_points": report.total_points(),
-        "total_transverse": report.total_transverse(),
+        "total_points": sum(row["total_points"] for row in per_e),
+        "total_transverse": sum(row["transverse_points"] for row in per_e),
         "per_e": per_e,
     }
 
@@ -274,7 +277,7 @@ def _entry_obj(quiver, entry) -> dict:
         "point": _point_obj(quiver, entry.point),
         "hom_dim": entry.hom_dim,
         "ext_dim": entry.ext_dim,
-        "transverse": entry.homologically_transverse,
+        "transverse": entry.ext_dim == 0,
     }
 
 

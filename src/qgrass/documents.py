@@ -100,6 +100,9 @@ def read_document(path: str) -> dict:
         raise InputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting past the recursion limit, or an integer past int's digit limit
+        raise InputError(f"{path}: cannot decode: {exc}") from exc
 
 
 def representation_document(quiver: Quiver, rep: Representation, name: str | None = None) -> dict:

@@ -106,8 +106,14 @@ class Field:
         return pow(a, -1, self.p)
 
     def parse(self, text):
-        """Parse an exact scalar: an int, or a string 'n' or 'n/m'."""
-        if isinstance(text, bool) or not isinstance(text, (str, int)):
+        """Parse an exact scalar: an int, or a string 'n' or 'n/m'.
+
+        A string with an exponent is refused: Fraction would expand the
+        eleven characters '1e999999999' into a billion-digit integer.
+        """
+        if isinstance(text, bool) or not isinstance(text, (str, int)) or (
+            isinstance(text, str) and "e" in text.lower()
+        ):
             raise InputError(f"not an exact rational: {text!r}")
         try:
             value = Fraction(text)

@@ -290,19 +290,20 @@ def compare_transverse_loci(m: Representation, q_list) -> TransverseComparison:
 def _compare_over(m: Representation, q: int) -> tuple[FieldComparison, list]:
     """One prime's comparison and counterexamples, from one pass over each
     slice; the census is dropped on return."""
-    report = census(reduce_mod_p(m, q))
+    m_q = reduce_mod_p(m, q)
+    entries_by_e = census(m_q)
     try:
-        comb = transverse_combinatorial(report.rep, [x.point for x in report.all_entries()])
+        comb = transverse_combinatorial(m_q, [x.point for entries in entries_by_e.values() for x in entries])
     except (NotRegularError, InternalCheckError) as err:
         return FieldComparison(q=q, error=f"{type(err).__name__}: {err}"), []
     fc = FieldComparison(q=q, tube=comb.tube)
     counterexamples = []
-    for e, entries in report.entries_by_e.items():
+    for e, entries in entries_by_e.items():
         n_comb = n_hom = 0
         found = []
         for entry in entries:
             in_comb = comb.contains(entry.point)
-            in_hom = entry.homologically_transverse
+            in_hom = entry.ext_dim == 0
             n_comb += in_comb
             n_hom += in_hom
             if in_comb != in_hom:

@@ -101,12 +101,12 @@ def _lower_unitriangular_inverse(t: list) -> list:
 
 def census_points(report) -> list:
     """Every point of a census, the input the tube pipeline takes."""
-    return [entry.point for entry in report.all_entries()]
+    return [entry.point for entries in report.values() for entry in entries]
 
 
 def locus_points(report, locus, e) -> list:
     """The points of slice e that the combinatorial locus keeps, in census order."""
-    return [entry.point for entry in report.entries(e) if locus.contains(entry.point)]
+    return [entry.point for entry in report[e] if locus.contains(entry.point)]
 
 
 def builtin_rep(name: str):

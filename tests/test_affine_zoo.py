@@ -52,9 +52,9 @@ def d4_quiver():
 def excluded_points(rep, fc):
     report = census(reduce_mod_p(rep, fc.q))
     return {
-        e: len(report.entries(e)) - comb
+        e: len(report[e]) - comb
         for e, (comb, hom, equal) in fc.per_e.items()
-        if comb < len(report.entries(e))
+        if comb < len(report[e])
     }
 
 

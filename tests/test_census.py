@@ -31,7 +31,6 @@ from qgrass import (
     is_subrep,
     point_counts,
     reduce_mod_p,
-    transverse_homological,
 )
 from conftest import BATTERY, builtin_rep, rep_from_ints, twist
 
@@ -55,11 +54,9 @@ def test_example1_slice_is_projective_line():
 
 def test_example1_every_point_has_one_dimensional_ext():
     quiver, rep = modp("a21-ex1", 2)
-    report = census(rep, (0, 2, 1))
-    entries = report.entries((0, 2, 1))
+    entries = census(rep, (0, 2, 1))[(0, 2, 1)]
     assert len(entries) == 3
     assert all(e.ext_dim == 1 and e.hom_dim == 1 for e in entries)
-    assert transverse_homological(report, (0, 2, 1)) == []
     assert euler_form(quiver, (0, 2, 1), (3, 1, 2)) == 0
 
 
@@ -78,17 +75,14 @@ def test_example2_unique_point_with_ext():
         assert len(points) == 1
         eigen = SubspaceBasis.from_vectors(rep.field, [[1, 0]], 2)
         assert points[0].spaces == (eigen, eigen)
-        report = census(rep, (1, 1))
-        entry = report.entries((1, 1))[0]
+        entry = census(rep, (1, 1))[(1, 1)][0]
         assert entry.ext_dim == 1
-        assert transverse_homological(report, (1, 1)) == []
 
 
 def test_example3_census_counts_and_singular_point():
     for q in (2, 3):
         _, rep = modp("a21-ex3", q)
-        report = census(rep, (0, 1, 1))
-        entries = report.entries((0, 1, 1))
+        entries = census(rep, (0, 1, 1))[(0, 1, 1)]
         assert len(entries) == 2 * q + 1
         singular = [e for e in entries if e.ext_dim == 1]
         smooth = [e for e in entries if e.ext_dim == 0]
@@ -103,8 +97,7 @@ def test_example3_census_counts_and_singular_point():
 
 def test_full_dim_vector_is_single_transverse_point():
     _, rep = modp("a21-ex3", 2)
-    report = census(rep, rep.dims)
-    entries = report.entries(rep.dims)
+    entries = census(rep, rep.dims)[rep.dims]
     assert len(entries) == 1
     assert entries[0].ext_dim == 0
 
@@ -139,8 +132,8 @@ def test_rigid_preprojective_line_census():
     _, rep = modp("kronecker-preproj:1", 2)
     assert is_rigid(rep)
     report = census(rep, (0, 1))
-    assert len(report.entries((0, 1))) == 3
-    assert len(transverse_homological(report, (0, 1))) == 3
+    assert len(report[(0, 1)]) == 3
+    assert all(x.ext_dim == 0 for x in report[(0, 1)])
 
 
 def test_preprojective_has_no_diagonal_point():
@@ -154,13 +147,11 @@ def test_census_totals_and_extreme_points():
         _, rep = modp(name, 2)
         report = census(rep)
         zero = (0,) * rep.quiver.n
-        assert len(report.entries(zero)) == 1
-        assert len(report.entries(rep.dims)) == 1
-        assert report.entries(zero)[0].ext_dim == 0
-        assert report.entries(rep.dims)[0].ext_dim == 0
-        assert report.total_points() == sum(
-            len(report.entries(e)) for e in all_dim_vectors(rep.dims)
-        )
+        assert len(report[zero]) == 1
+        assert len(report[rep.dims]) == 1
+        assert report[zero][0].ext_dim == 0
+        assert report[rep.dims][0].ext_dim == 0
+        assert list(report) == all_dim_vectors(rep.dims)
 
 
 def test_tangent_dim_bounds():
@@ -168,11 +159,11 @@ def test_tangent_dim_bounds():
     for name in BATTERY:
         quiver, rep = modp(name, 2)
         report = census(rep)
-        for e, entries in report.entries_by_e.items():
+        for e, entries in report.items():
             lower = euler_form(quiver, e, tuple(d - x for d, x in zip(rep.dims, e)))
             for entry in entries:
                 assert entry.hom_dim >= lower
-                assert (entry.hom_dim == lower) == entry.homologically_transverse
+                assert (entry.hom_dim == lower) == (entry.ext_dim == 0)
 
 
 def test_rigid_modules_are_everywhere_transverse():
@@ -181,7 +172,7 @@ def test_rigid_modules_are_everywhere_transverse():
         _, rep = modp(name, q)
         assert is_rigid(rep)
         report = census(rep)
-        assert report.total_points() == report.total_transverse()
+        assert all(x.ext_dim == 0 for entries in report.values() for x in entries)
 
 
 def test_enumeration_is_deterministic():
@@ -228,9 +219,9 @@ def test_census_tally_is_independent_of_coordinates(name):
         _, rep = modp(name, q)
         for seed in (1, 2):
             plain, dense = census(rep), census(twist(rep, seed))
-            assert list(plain.entries_by_e) == list(dense.entries_by_e)
-            for e in plain.entries_by_e:
-                tally = [sorted((x.hom_dim, x.ext_dim) for x in r.entries(e)) for r in (plain, dense)]
+            assert list(plain) == list(dense)
+            for e in plain:
+                tally = [sorted((x.hom_dim, x.ext_dim) for x in r[e]) for r in (plain, dense)]
                 assert tally[0] == tally[1], (name, q, seed, e)
 
 
@@ -353,14 +344,14 @@ def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
     _, rep = modp("a21-ex3", 3)
     full = census(rep)
     assert calls == [None]
-    assert list(full.entries_by_e) == all_dim_vectors(rep.dims)
+    assert list(full) == all_dim_vectors(rep.dims)
     for e in all_dim_vectors(rep.dims):
         one = census(rep, e)
-        assert list(one.entries_by_e) == [e]
-        assert [(x.point, x.hom_dim, x.ext_dim) for x in one.entries(e)] == [
-            (x.point, x.hom_dim, x.ext_dim) for x in full.entries(e)
+        assert list(one) == [e]
+        assert [(x.point, x.hom_dim, x.ext_dim) for x in one[e]] == [
+            (x.point, x.hom_dim, x.ext_dim) for x in full[e]
         ], e
-    assert len(calls) == 1 + len(full.entries_by_e)
+    assert len(calls) == 1 + len(full)
 
 
 def test_closed_form_count_checks_its_subspace_total(monkeypatch):

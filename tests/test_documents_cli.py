@@ -5,10 +5,12 @@ from __future__ import annotations
 import copy
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
 from qgrass import (
+    QQ,
     InputError,
     builtin_names,
     compare_transverse_loci,
@@ -19,7 +21,7 @@ from qgrass import (
     representation_document,
 )
 from qgrass.cli import main
-from conftest import PACKAGE_ROOT
+from conftest import BATTERY, PACKAGE_ROOT
 
 
 def run_cli(capsys, *argv):
@@ -271,6 +273,62 @@ def test_cli_input_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_cli_undecodable_documents_exit_2(capsys, tmp_path):
+    # nesting past the recursion limit, and an integer past int's 4,300-digit
+    # limit: json raises RecursionError and ValueError, not JSONDecodeError
+    for name, text in (("deep.json", "[" * 100_000 + "]" * 100_000), ("digits.json", "1" * 5000)):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "census", "--input", str(path), "--q", "2")
+        assert (code, out) == (2, ""), name
+        assert err.startswith("error: "), name
+
+
+def test_exponent_entries_are_refused(capsys, tmp_path):
+    # Fraction would expand '1e999999999' into a billion-digit integer
+    for text in ("1e5", "2E-1"):
+        doc = emit_builtin("kronecker-reg:2")
+        doc["representation"]["matrices"]["a"][0][0] = text
+        with pytest.raises(InputError, match="not an exact rational"):
+            parse_document(doc)
+        path = tmp_path / "exponent.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "census", "--input", str(path), "--q", "2")
+        assert (code, out) == (2, ""), text
+        assert "not an exact rational" in err, text
+    for text, value in ((3, 3), ("-4", -4), ("6/4", Fraction(3, 2)), ("0.25", Fraction(1, 4))):
+        assert QQ.parse(text) == value
+
+
+def test_cli_unexpected_errors_exit_3(capsys, monkeypatch):
+    import qgrass.cli as cli_mod
+
+    def broken(rep, qs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli_mod, "compare_transverse_loci", broken)
+    code, out, err = run_cli(capsys, "check", "--builtin", "kronecker-reg:1", "--q", "2")
+    assert (code, out) == (3, "")
+    assert err.startswith("internal error: RuntimeError: boom\n")
+    assert "Traceback" in err
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_cli_transverse_agrees_with_census(capsys, name):
+    _, out, _ = run_cli(capsys, "transverse", "--builtin", name, "--q", "2,3")
+    transverse = json.loads(out)["results"]
+    _, out, _ = run_cli(capsys, "census", "--builtin", name, "--q", "2,3")
+    full = json.loads(out)["results"]
+    assert [r["q"] for r in transverse] == [r["q"] for r in full] == [2, 3]
+    for t_result, c_result in zip(transverse, full):
+        assert [row["e"] for row in t_result["per_e"]] == [row["e"] for row in c_result["per_e"]]
+        for t_row, c_row in zip(t_result["per_e"], c_result["per_e"]):
+            assert t_row["total_points"] == c_row["total_points"], (name, t_row["e"])
+            assert t_row["transverse_points"] == c_row["transverse_points"], (name, t_row["e"])
+            kept = [x["point"] for x in c_row["entries"] if x["transverse"]]
+            assert t_row["points"] == kept, (name, t_row["e"])
+
+
 def test_cli_checks_prime_lists_like_the_library(capsys):
     # the CLI parses ints and leaves every other check to the library's
     _, rep = parse_document(emit_builtin("a21-ex3"))
@@ -350,10 +408,10 @@ def test_cli_check_reports_counterexamples_in_sort_key_order(capsys, monkeypatch
 
     def forced_census(rep_q, e=None):
         report = real_census(rep_q, e)
-        report.entries_by_e[(2, 1)] = [
+        report[(2, 1)] = [
             dataclasses.replace(x, ext_dim=forced_ext.get(
                 tuple(tuple(map(tuple, s.matrix.to_rows())) for s in x.point.spaces), x.ext_dim))
-            for x in report.entries_by_e[(2, 1)]
+            for x in report[(2, 1)]
         ]
         return report
 

@@ -23,7 +23,6 @@ from qgrass import (
     quasi_socle,
     reduce_mod_p,
     transverse_combinatorial,
-    transverse_homological,
     tube_coordinates,
 )
 from conftest import BATTERY, builtin_rep, census_points, locus_points, rep_from_ints
@@ -151,7 +150,7 @@ def test_canonical_ray_submodules_unique_and_nested():
             chain = [canonical_ray_submodule(rep, points, tube, t)
                      for t in range(tube.quasi_length + 1)]
             for t in range(1, tube.quasi_length + 1):
-                assert len(report.entries(tube.ray_dims[t])) == 1, (name, q, t)
+                assert len(report[tube.ray_dims[t]]) == 1, (name, q, t)
             for small, big in zip(chain, chain[1:]):
                 assert small.leq(big), (name, q)
 
@@ -173,7 +172,7 @@ def test_transverse_combinatorial_example1_empty_slice():
     assert not comb.rigid
     assert locus_points(report, comb, (0, 2, 1)) == []
     # all three points are pinched between the window submodules
-    for entry in report.entries((0, 2, 1)):
+    for entry in report[(0, 2, 1)]:
         assert comb.flags(entry.point) == (True, True)
 
 
@@ -190,13 +189,13 @@ def test_transverse_combinatorial_example3_drops_singular_point():
     comb = transverse_combinatorial(rep, census_points(report))
     kept = locus_points(report, comb, (0, 1, 1))
     assert len(kept) == 4
-    excluded = {entry.point for entry in report.entries((0, 1, 1))} - set(kept)
+    excluded = {entry.point for entry in report[(0, 1, 1)]} - set(kept)
     assert len(excluded) == 1
     (z,) = excluded
     eigen = SubspaceBasis.from_vectors(F2, [[1, 0]], 2)
     assert z.spaces[1] == eigen and z.spaces[2] == eigen
     # matches the homological locus on this slice
-    assert set(kept) == set(transverse_homological(report, (0, 1, 1)))
+    assert set(kept) == {x.point for x in report[(0, 1, 1)] if x.ext_dim == 0}
 
 
 def test_transverse_combinatorial_rigid_keeps_everything():
@@ -206,7 +205,7 @@ def test_transverse_combinatorial_rigid_keeps_everything():
     comb = transverse_combinatorial(rep_2, census_points(report))
     assert comb.rigid
     assert (comb.lower, comb.upper) == (None, None)
-    for e, entries in report.entries_by_e.items():
+    for e, entries in report.items():
         assert locus_points(report, comb, e) == [entry.point for entry in entries]
         assert all(comb.flags(entry.point) is None for entry in entries)
 
@@ -215,7 +214,7 @@ def test_vacuous_window_keeps_everything():
     quiver, rep, report = full_report("a21-ray:3", 2)
     comb = transverse_combinatorial(rep, census_points(report))
     assert comb.tube.vacuous_window
-    for e, entries in report.entries_by_e.items():
+    for e, entries in report.items():
         assert locus_points(report, comb, e) == [entry.point for entry in entries]
 
 
@@ -227,9 +226,10 @@ def test_excluded_points_always_have_ext():
             comb = transverse_combinatorial(rep, census_points(report))
             if comb.rigid:
                 continue
-            for entry in report.all_entries():
-                if comb.flags(entry.point) == (True, True):
-                    assert entry.ext_dim >= 1, (name, q, entry.point.dim_vector)
+            for entries in report.values():
+                for entry in entries:
+                    if comb.flags(entry.point) == (True, True):
+                        assert entry.ext_dim >= 1, (name, q, entry.point.dim_vector)
 
 
 def test_one_slice_of_points_is_refused():
@@ -293,10 +293,10 @@ def test_compare_transverse_loci_rigid_sides_are_everything():
     fc = comparison.per_field[0]
     assert fc.rigid
     report = census(reduce_mod_p(rep, 2))
-    assert list(fc.per_e) == list(report.entries_by_e)
+    assert list(fc.per_e) == list(report)
     for e, (comb, hom, equal) in fc.per_e.items():
         assert equal
-        assert comb == hom == len(report.entries(e))
+        assert comb == hom == len(report[e])
 
 
 def test_compare_reports_tube_errors_per_field():
@@ -321,7 +321,9 @@ def test_compare_drops_each_census_before_the_next(monkeypatch):
     def tracked_census(rep_q, e=None):
         alive = [ref for ref in earlier if ref() is not None]
         report = real_census(rep_q, e)
-        earlier.append(weakref.ref(report))
+        # a dict cannot be weakly referenced, but an entry lives only in its
+        # census, so its entry at e = dims stands for the whole census
+        earlier.append(weakref.ref(report[rep_q.dims][0]))
         assert alive == [], "an earlier prime's census is still alive"
         return report
 
