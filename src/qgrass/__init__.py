@@ -24,7 +24,6 @@ from .documents import (
     document_digest,
     parse_document,
     read_document,
-    representation_document,
 )
 from .errors import (
     AmbiguousQuasiSocleError,
@@ -41,7 +40,6 @@ from .fields import QQ, Field
 from .linalg import (
     Matrix,
     SubspaceBasis,
-    enumerate_subspaces,
     gaussian_binomial,
     kernel_basis,
     rref,
@@ -117,7 +115,6 @@ __all__ = [
     "document_digest",
     "emit_builtin",
     "enumerate_subreps",
-    "enumerate_subspaces",
     "euler_form",
     "gaussian_binomial",
     "hom_ext",
@@ -129,7 +126,6 @@ __all__ = [
     "quasi_socle",
     "read_document",
     "reduce_mod_p",
-    "representation_document",
     "rref",
     "sub_quotient",
     "transverse_combinatorial",

@@ -231,7 +231,7 @@ def _parse_primes(text: str) -> list[int]:
 
 
 def _parse_e(args, quiver):
-    if not args.e:
+    if args.e is None:
         return None
     if args.command in ("check", "tube"):
         raise InputError(

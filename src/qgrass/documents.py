@@ -105,30 +105,6 @@ def read_document(path: str) -> dict:
         raise InputError(f"{path}: cannot decode: {exc}") from exc
 
 
-def representation_document(quiver: Quiver, rep: Representation, name: str | None = None) -> dict:
-    """Rebuild the canonical input document for a rational representation."""
-    idx = quiver.vertex_index
-    matrices = {}
-    for a in quiver.arrows:
-        mat = rep.matrices[a.name]
-        matrices[a.name] = [
-            [rep.field.fmt(mat.at(r, c)) for c in range(mat.cols)] for r in range(mat.rows)
-        ]
-    doc = {
-        "quiver": {
-            "vertices": list(quiver.vertices),
-            "arrows": [{"id": a.name, "from": a.source, "to": a.target} for a in quiver.arrows],
-        },
-        "representation": {
-            "dims": {v: rep.dims[idx[v]] for v in quiver.vertices},
-            "matrices": matrices,
-        },
-    }
-    if name is not None:
-        doc["metadata"] = {"name": name}
-    return doc
-
-
 def canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 

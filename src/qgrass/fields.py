@@ -83,11 +83,6 @@ class Field:
     def one(self):
         return 1 if self.p is not None else Fraction(1)
 
-    def from_int(self, n: int):
-        if self.p is not None:
-            return n % self.p
-        return Fraction(n)
-
     def neg(self, a):
         return (-a) % self.p if self.p is not None else -a
 
@@ -124,13 +119,6 @@ class Field:
         if value.denominator % self.p == 0:
             raise InputError(f"denominator of {text!r} vanishes mod {self.p}")
         return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
-
-    def fmt(self, a) -> str:
-        if self.p is not None:
-            return str(a % self.p)
-        if a.denominator == 1:
-            return str(a.numerator)
-        return f"{a.numerator}/{a.denominator}"
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.kind == other.kind and self.p == other.p

@@ -49,10 +49,6 @@ class Matrix:
         one, zero = field.one, field.zero
         return cls(field, n, n, [one if i == j else zero for i in range(n) for j in range(n)])
 
-    @classmethod
-    def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, [field.zero] * (rows * cols))
-
     def at(self, i: int, j: int):
         return self.entries[i * self.cols + j]
 
@@ -301,6 +297,9 @@ def _leading_columns(matrix: Matrix) -> tuple:
 
 @lru_cache(maxsize=None)
 def _subspaces_cached(ambient_dim: int, dim: int, p: int) -> tuple:
+    """Every dim-dimensional subspace of F_p^ambient_dim once, by Schubert
+    cell: pivot sets in lexicographic order, free entries in odometer order
+    (last slot fastest).  The count is the Gaussian binomial."""
     field = Field.prime(p)
     zero, one = field.zero, field.one
     out = []
@@ -322,20 +321,6 @@ def _subspaces_cached(ambient_dim: int, dim: int, p: int) -> tuple:
             flat = [x for row in rows for x in row]
             out.append(SubspaceBasis(field, Matrix(field, dim, ambient_dim, flat), pivots))
     return tuple(out)
-
-
-def enumerate_subspaces(ambient_dim: int, dim: int, field: Field) -> list[SubspaceBasis]:
-    """All dim-dimensional subspaces of F_q^ambient_dim, each exactly once.
-
-    Enumeration is by Schubert cell: pivot-column sets in lexicographic
-    order, free entries in odometer order (last slot fastest).  The order is
-    deterministic, and the count is the Gaussian binomial.
-    """
-    if field.p is None:
-        raise InputError("subspace enumeration needs a finite field")
-    if not 0 <= dim <= ambient_dim:
-        raise InputError(f"dimension {dim} out of range for ambient {ambient_dim}")
-    return list(_subspaces_cached(ambient_dim, dim, field.p))
 
 
 def subspaces_containing(ambient_dim: int, dim: int, p: int, w_rows, w_pivots) -> list[SubspaceBasis]:

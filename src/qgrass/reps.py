@@ -54,12 +54,6 @@ class Representation:
         self.dims = dims
         self.matrices = dict(matrices)
 
-    @classmethod
-    def zero(cls, quiver: Quiver, field: Field) -> "Representation":
-        dims = (0,) * quiver.n
-        mats = {a.name: Matrix.zeros(field, 0, 0) for a in quiver.arrows}
-        return cls(quiver, field, dims, mats)
-
     def total_dim(self) -> int:
         return sum(self.dims)
 

@@ -214,11 +214,7 @@ def transverse_combinatorial(m: Representation, points) -> CombinatorialTransver
             "combinatorial transverse locus undefined: non-rigid module on a non-affine quiver"
         )
     socle = quasi_socle(m, points, ed)
-    try:
-        tube = tube_coordinates(ed, m.dims, socle.dim_vector)
-    except RigidRegularError:
-        # defensive: a non-rigid module should never land here
-        return CombinatorialTransverse(tube=None, lower=None, upper=None)
+    tube = tube_coordinates(ed, m.dims, socle.dim_vector)
 
     lower = canonical_ray_submodule(m, points, tube, tube.k + 1)
     upper = canonical_ray_submodule(m, points, tube, tube.l * tube.tube_rank - 1)

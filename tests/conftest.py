@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -49,7 +50,7 @@ def rep_from_ints(quiver: Quiver, field: Field, dims, matrices: dict) -> Represe
     for a in quiver.arrows:
         rows = matrices[a.name]
         want = (dims[idx[a.target]], dims[idx[a.source]])
-        flat = [field.from_int(x) for row in rows for x in row]
+        flat = [field.parse(x) for row in rows for x in row]
         mats[a.name] = Matrix(field, want[0], want[1], flat)
     return Representation(quiver, field, dims, mats)
 
@@ -77,7 +78,7 @@ def twist(rep: Representation, seed: int) -> Representation:
         i, j = idx[a.source], idx[a.target]
         m = rep.matrices[a.name].to_rows()
         moved = _matmul(_matmul(change[j][0], m, rep.dims[i]), change[i][1], rep.dims[i])
-        mats[a.name] = Matrix(field, rep.dims[j], rep.dims[i], [field.from_int(x) for row in moved for x in row])
+        mats[a.name] = Matrix(field, rep.dims[j], rep.dims[i], [field.parse(x) for row in moved for x in row])
     return Representation(rep.quiver, field, rep.dims, mats)
 
 
@@ -97,6 +98,27 @@ def _lower_unitriangular_inverse(t: list) -> list:
     for i in range(n):
         x.append([int(i == j) - sum(t[i][k] * x[k][j] for k in range(i)) for j in range(n)])
     return x
+
+
+def coefficient_quiver(doc) -> tuple[list, list]:
+    """Basis vectors (vertex, i) and the arrows (v, j) -> (w, i), one for each
+    entry M_a[i][j] = 1 of an arrow a: v -> w.  The document's matrices must
+    be 0/1 with at most one 1 per row and per column (a string module)."""
+    rep = doc["representation"]
+    edges = []
+    for arrow in doc["quiver"]["arrows"]:
+        rows = [[Fraction(x) for x in row] for row in rep["matrices"][arrow["id"]]]
+        assert all(x in (0, 1) for row in rows for x in row), arrow["id"]
+        assert all(sum(row) <= 1 for row in rows), arrow["id"]
+        assert all(sum(col) <= 1 for col in zip(*rows)), arrow["id"]
+        edges += [
+            ((arrow["from"], j), (arrow["to"], i))
+            for i, row in enumerate(rows)
+            for j, x in enumerate(row)
+            if x
+        ]
+    basis = [(v, i) for v in doc["quiver"]["vertices"] for i in range(rep["dims"][v])]
+    return basis, edges
 
 
 def census_points(report) -> list:

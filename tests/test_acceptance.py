@@ -155,7 +155,7 @@ def test_criterion_7_property_suites():
             rows, cols = rng.randrange(0, 5), rng.randrange(0, 5)
             m = Matrix(
                 field, rows, cols,
-                [field.from_int(rng.randrange(-4, 5)) for _ in range(rows * cols)],
+                [field.parse(rng.randrange(-4, 5)) for _ in range(rows * cols)],
             )
             assert rref(m).rank + kernel_basis(m).rows == cols
 

@@ -18,7 +18,6 @@ from qgrass import (
     emit_builtin,
     parse_document,
     read_document,
-    representation_document,
 )
 from qgrass.cli import main
 from conftest import BATTERY, PACKAGE_ROOT
@@ -80,17 +79,19 @@ def test_unknown_builtin_lists_names():
         assert name in str(info.value)
 
 
-def test_round_trip_documents():
+def test_parse_document_keeps_every_entry():
     for name in ("a21-ex1", "a21-ex3", "kronecker-reg:3", "kronecker-preproj:2"):
         doc = emit_builtin(name)
         quiver, rep = parse_document(doc)
-        rebuilt = representation_document(quiver, rep, name=name)
-        assert rebuilt["quiver"] == doc["quiver"]
-        assert rebuilt["representation"] == doc["representation"]
-        quiver2, rep2 = parse_document(rebuilt)
-        assert quiver2 == quiver
-        assert rep2.dims == rep.dims
-        assert rep2.matrices == rep.matrices
+        assert list(quiver.vertices) == doc["quiver"]["vertices"]
+        assert [tuple(a) for a in quiver.arrows] == [
+            (a["id"], a["from"], a["to"]) for a in doc["quiver"]["arrows"]
+        ]
+        assert rep.dims == tuple(doc["representation"]["dims"][v] for v in quiver.vertices)
+        assert {a: mat.to_rows() for a, mat in rep.matrices.items()} == {
+            a: [[Fraction(x) for x in row] for row in rows]
+            for a, rows in doc["representation"]["matrices"].items()
+        }
 
 
 def test_parse_document_diagnostics():
@@ -348,6 +349,14 @@ def test_cli_full_census_commands_reject_e(capsys, command):
     code, out, err = run_cli(capsys, command, "--builtin", "a21-ex3", "--q", "2", "--e", "0,1,1")
     assert (code, out) == (2, "")
     assert f"--e does not apply to {command}" in err
+
+
+@pytest.mark.parametrize("command", ["census", "transverse", "chi"])
+def test_cli_empty_e_is_an_input_error(capsys, command):
+    # an explicit empty vector is not --all-e
+    code, out, err = run_cli(capsys, command, "--builtin", "a21-ex3", "--q", "2", "--e", "")
+    assert (code, out) == (2, "")
+    assert err == "error: bad dimension vector ''\n"
 
 
 def test_cli_internal_errors_exit_3(capsys, tmp_path):

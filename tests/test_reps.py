@@ -70,7 +70,7 @@ def test_hom_ext_kronecker_preprojective_is_rigid():
 
 
 def test_zero_representation_is_rigid(kronecker):
-    zero = Representation.zero(kronecker, QQ)
+    zero = rep_from_ints(kronecker, QQ, (0, 0), {"a": [], "b": []})
     assert is_rigid(zero)
     assert hom_ext(zero, zero) == (0, 0)
 
@@ -283,7 +283,7 @@ def test_direct_sum_dims_and_additivity():
     r = kronecker_regular(QQ, 1)
     s = direct_sum(m, r)
     assert s.dims == (2, 3)
-    zero = Representation.zero(m.quiver, QQ)
+    zero = rep_from_ints(m.quiver, QQ, (0, 0), {"a": [], "b": []})
     assert direct_sum(m, zero).dims == m.dims
     # hom is additive in the first argument
     for target in (m, r):

@@ -331,3 +331,23 @@ def test_compare_drops_each_census_before_the_next(monkeypatch):
     quiver, rep = builtin_rep("a21-ex3")
     assert compare_transverse_loci(rep, [2, 3, 5]).verdict
     assert len(earlier) == 3
+
+
+def test_forced_rigid_regular_error_is_an_internal_error(monkeypatch):
+    # a non-rigid module whose tube coordinates fail must not fall back to
+    # the rigid locus, which keeps every point and so reports counterexamples
+    import contextlib
+    import importlib
+    import io
+
+    from qgrass.cli import main as cli_main
+
+    def rigid(*args):
+        raise RigidRegularError("forced")
+
+    monkeypatch.setattr(importlib.import_module("qgrass.tubes"), "tube_coordinates", rigid)
+    _, rep = builtin_rep("kronecker-reg:2")
+    [fc] = compare_transverse_loci(rep, [2]).per_field
+    assert fc.error == "RigidRegularError: forced"
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(["check", "--builtin", "kronecker-reg:2", "--q", "2"]) == 3
