@@ -24,7 +24,7 @@ for name in ("a21-ex1", "a21-ray:3", "kronecker-reg:3"):
     rep = reduce_mod_p(module, 2)
     points = enumerate_subreps(rep)  # every e; no tangent data is needed
     ed = compute_euler_data(quiver)
-    socle = quasi_socle(rep, points, ed)
+    socle = quasi_socle(rep, points)
     tube = tube_coordinates(ed, rep.dims, socle.dim_vector)
     print(f"{name}: dims {rep.dims}")
     print(

@@ -9,15 +9,14 @@ fixed, and the walk lists only the subspaces that contain their images.
 Each point N gets its homological data dim Hom(N, M/N) and dim Ext^1(N, M/N);
 ext = 0 marks N as homologically transverse, and hom is the tangent-space
 dimension of the Grassmannian at N.  Point counts across several primes
-interpolate to a counting polynomial whose value at q = 1 is the Euler
-characteristic.
+interpolate exactly over Q, in Newton form, to a counting polynomial whose
+value at q = 1 is the Euler characteristic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import product
 
 from .errors import CountNotPolynomialError, InputError, InternalCheckError
@@ -280,7 +279,7 @@ class CountingPolynomial:
                 f"samples must have distinct q: samples={list(samples)}, "
                 f"check sample={check_sample}"
             )
-        coeffs = _lagrange([(Fraction(q), Fraction(c)) for q, c in samples])
+        coeffs = _interpolate([(Fraction(q), Fraction(c)) for q, c in samples])
         check_q, check_count = check_sample
         predicted = sum(c * check_q**i for i, c in enumerate(coeffs))
         if predicted != check_count or any(c.denominator != 1 for c in coeffs):
@@ -378,35 +377,20 @@ def brute_force_subreps(m: Representation, e) -> list[SubrepPoint]:
     return out
 
 
-def _lagrange(points) -> list[Fraction]:
-    """Coefficients (ascending) of the interpolating polynomial."""
-    bases = _lagrange_basis(tuple(x for x, _ in points))
-    coeffs = [sum(y * basis[k] for (_, y), basis in zip(points, bases)) for k in range(len(points))]
+def _interpolate(points) -> list[Fraction]:
+    """Ascending coefficients of the polynomial through the (x, y) points,
+    trailing zeros trimmed: Newton divided differences, expanded by Horner's
+    rule."""
+    xs = [x for x, _ in points]
+    diffs = [y for _, y in points]
+    for j in range(1, len(xs)):
+        for i in range(len(xs) - 1, j - 1, -1):
+            diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - j])
+    coeffs = []
+    for x, d in zip(reversed(xs), reversed(diffs)):
+        # coeffs * (t - x) + d
+        coeffs = [a - x * b for a, b in zip([0, *coeffs], [*coeffs, 0])]
+        coeffs[0] += d
     while len(coeffs) > 1 and coeffs[-1] == 0:
         coeffs.pop()
     return coeffs
-
-
-@lru_cache(maxsize=None)
-def _lagrange_basis(xs: tuple) -> tuple:
-    """Ascending coefficients of each basis polynomial
-    prod_{j != i} (x - xj) / (xi - xj); every slice shares the sample primes."""
-    bases = []
-    for i, xi in enumerate(xs):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            basis = _poly_mul(basis, [-xj, Fraction(1)])
-            denom *= xi - xj
-        bases.append(tuple(c / denom for c in basis))
-    return tuple(bases)
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out

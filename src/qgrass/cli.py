@@ -147,7 +147,7 @@ def _run_command(args) -> int:
                 results.append({"q": q, "rigid": True})
                 continue
             points = enumerate_subreps(rep_q)
-            socle = quasi_socle(rep_q, points, ed)
+            socle = quasi_socle(rep_q, points)
             tube = tube_coordinates(ed, rep_q.dims, socle.dim_vector)
             rays = []
             for t in range(1, tube.quasi_length + 1):

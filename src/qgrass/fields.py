@@ -2,7 +2,9 @@
 
 Rational elements are ``fractions.Fraction`` (always reduced, positive
 denominator); prime-field elements are plain ints kept in ``[0, p)``.
-A ``Field`` bundles the arithmetic so matrix code can stay generic.
+A ``Field`` is its modulus p, None for the rationals: ``QQ`` or
+``Field.prime(p)``.  It bundles the arithmetic so matrix code can stay
+generic.
 """
 
 from __future__ import annotations
@@ -11,12 +13,6 @@ import operator
 from fractions import Fraction
 
 from .errors import InputError
-
-RATIONALS = "rationals"
-PRIME = "prime"
-
-# inverse tables are only precomputed below this modulus
-_INVERSE_TABLE_LIMIT = 1 << 16
 
 
 def is_prime(n: int) -> bool:
@@ -43,12 +39,12 @@ def next_prime(n: int) -> int:
 
 
 class Field:
-    """Arithmetic context: the rationals, or the field with p elements."""
+    """Arithmetic context: the rationals (p is None), or the field with p elements."""
 
-    __slots__ = ("kind", "p", "_inv")
+    __slots__ = ("p",)
 
-    def __init__(self, kind: str, p: int | None = None):
-        if kind == PRIME:
+    def __init__(self, p: int | None = None):
+        if p is not None:
             # operator.index, never int(): 2.0 or True is refused, not truncated
             try:
                 if isinstance(p, bool):
@@ -58,22 +54,17 @@ class Field:
                 raise InputError(f"modulus {p!r} is not an integer") from None
             if not is_prime(p):
                 raise InputError(f"modulus {p!r} is not prime")
-        elif kind == RATIONALS:
-            if p is not None:
-                raise InputError("rationals take no modulus")
-        else:
-            raise InputError(f"unknown field kind {kind!r}")
-        self.kind = kind
         self.p = p
-        self._inv = None
 
     @classmethod
     def prime(cls, p: int) -> "Field":
-        return cls(PRIME, p)
+        if p is None:
+            raise InputError("modulus None is not an integer")
+        return cls(p)
 
     @property
     def is_rationals(self) -> bool:
-        return self.kind == RATIONALS
+        return self.p is None
 
     @property
     def zero(self):
@@ -88,16 +79,9 @@ class Field:
 
     def inv(self, a):
         if self.p is None:
-            if a == 0:
-                raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
-        a %= self.p
-        if a == 0:
+            return 1 / Fraction(a)  # ZeroDivisionError at a = 0
+        if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.p < _INVERSE_TABLE_LIMIT:
-            if self._inv is None:
-                self._inv = _inverse_table(self.p)
-            return self._inv[a]
         return pow(a, -1, self.p)
 
     def parse(self, text):
@@ -121,10 +105,10 @@ class Field:
         return (value.numerator * pow(value.denominator, -1, self.p)) % self.p
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
+        return isinstance(other, Field) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.p)
 
     def __repr__(self):
         return "Field(Q)" if self.p is None else f"Field(F_{self.p})"
@@ -139,14 +123,4 @@ def distinct_primes(q_list) -> list[int]:
     return qs
 
 
-def _inverse_table(p: int) -> list:
-    # inv[a] = -(p // a) * inv[p % a] mod p, the standard linear-time recurrence
-    inv = [0] * p
-    if p > 1:
-        inv[1] = 1
-    for a in range(2, p):
-        inv[a] = (p - (p // a) * inv[p % a]) % p
-    return inv
-
-
-QQ = Field(RATIONALS)
+QQ = Field()

@@ -65,7 +65,7 @@ def _require_every_e(m: Representation, points, who: str) -> None:
         raise InputError(f"{who} needs the points of every dimension vector")
 
 
-def quasi_socle(m: Representation, points, euler_data: EulerData | None = None) -> SubrepPoint:
+def quasi_socle(m: Representation, points) -> SubrepPoint:
     """The minimum nonzero defect-zero point among m's points of every e.
 
     Defect zero rules out preprojective summands, so the candidates are the
@@ -73,7 +73,7 @@ def quasi_socle(m: Representation, points, euler_data: EulerData | None = None) 
     and the minimum is its quasi-socle.
     """
     _require_every_e(m, points, "quasi_socle")
-    ed = euler_data or compute_euler_data(m.quiver)
+    ed = compute_euler_data(m.quiver)
     # one defect per distinct e; dimension vectors are nonnegative
     regular = {e for e in {p.dim_vector for p in points} if any(e) and defect(ed, e) == 0}
     candidates = [p for p in points if p.dim_vector in regular]
@@ -213,7 +213,7 @@ def transverse_combinatorial(m: Representation, points) -> CombinatorialTransver
         raise InputError(
             "combinatorial transverse locus undefined: non-rigid module on a non-affine quiver"
         )
-    socle = quasi_socle(m, points, ed)
+    socle = quasi_socle(m, points)
     tube = tube_coordinates(ed, m.dims, socle.dim_vector)
 
     lower = canonical_ray_submodule(m, points, tube, tube.k + 1)
@@ -267,8 +267,10 @@ def compare_transverse_loci(m: Representation, q_list) -> TransverseComparison:
     """Point-by-point comparison of the combinatorial and homological
     transverse loci over each prime in q_list.
 
-    Input is a rational representation; tube-pipeline failures are recorded
-    per prime and do not abort the other primes.
+    Input is a rational representation.  An InternalCheckError of the tube
+    pipeline is recorded per prime and does not abort the other primes.  A
+    module with no nonzero defect-zero submodule raises NotRegularError, an
+    InputError: e = dims then has defect <delta, dim M> != 0 at every prime.
     """
     if not m.field.is_rationals:
         raise InputError("compare_transverse_loci expects a representation over the rationals")
@@ -290,7 +292,7 @@ def _compare_over(m: Representation, q: int) -> tuple[FieldComparison, list]:
     entries_by_e = census(m_q)
     try:
         comb = transverse_combinatorial(m_q, [x.point for entries in entries_by_e.values() for x in entries])
-    except (NotRegularError, InternalCheckError) as err:
+    except InternalCheckError as err:
         return FieldComparison(q=q, error=f"{type(err).__name__}: {err}"), []
     fc = FieldComparison(q=q, tube=comb.tube)
     counterexamples = []

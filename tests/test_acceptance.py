@@ -187,7 +187,7 @@ def test_criterion_7_property_suites():
             if not comb.rigid:
                 tube = comb.tube
                 ed = compute_euler_data(quiver)
-                assert quasi_socle(rep_q, points, ed).dim_vector == tube.quasi_socle_dim
+                assert quasi_socle(rep_q, points).dim_vector == tube.quasi_socle_dim
                 chain = []
                 for t in range(1, tube.quasi_length + 1):
                     entries = full[tube.ray_dims[t]]

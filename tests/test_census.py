@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import random
 import re
 
 import pytest
@@ -460,6 +461,30 @@ def test_counting_polynomial_flags_insufficient_samples():
     # a repeated q cannot be interpolated: the error names the samples
     with pytest.raises(InputError, match=r"samples=\[\(2, 3\), \(2, 4\)\]"):
         CountingPolynomial.from_samples([(2, 3), (2, 4)], (5, 6))
+
+
+def test_from_samples_recovers_random_integer_polynomials():
+    # the first n >= deg + 1 primes as samples and the next one as the check
+    # give back the exact coefficients; with n = deg samples the check must
+    # object, since the error there is lead * prod(q_check - q_i) != 0
+    primes = [2, 3, 5, 7, 11, 13, 17]
+    rng = random.Random(18)
+    polys = [[0]]
+    for trial in range(100):
+        deg = trial % 5
+        lead = rng.choice([c for c in range(-20, 21) if c != 0 or deg == 0])
+        polys.append([rng.randint(-20, 20) for _ in range(deg)] + [lead])
+    for coeffs in polys:
+        deg = len(coeffs) - 1
+        count = {q: sum(c * q**i for i, c in enumerate(coeffs)) for q in primes}
+        for n in range(deg + 1, len(primes)):
+            samples = [(q, count[q]) for q in primes[:n]]
+            poly = CountingPolynomial.from_samples(samples, (primes[n], count[primes[n]]))
+            assert poly.coefficients == tuple(coeffs), (coeffs, n)
+        if any(coeffs):
+            samples = [(q, count[q]) for q in primes[:deg]]
+            with pytest.raises(CountNotPolynomialError):
+                CountingPolynomial.from_samples(samples, (primes[deg], count[primes[deg]]))
 
 
 def test_library_prime_lists_take_integer_primes_only():

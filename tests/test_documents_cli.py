@@ -214,6 +214,30 @@ def test_cli_transverse_on_non_affine_quiver(capsys, tmp_path):
     assert all(row["transverse_points"] == row["total_points"] for row in per_e)
 
 
+def test_cli_check_on_non_regular_module_is_an_input_error(capsys, tmp_path):
+    # Kronecker P0 + P2: non-rigid with nonzero defect, so the tube pipeline
+    # does not apply; check must exit 2 like tube, not report an internal failure
+    doc = {
+        "quiver": {
+            "vertices": ["1", "2"],
+            "arrows": [{"id": "a", "from": "1", "to": "2"}, {"id": "b", "from": "1", "to": "2"}],
+        },
+        "representation": {
+            "dims": {"1": 2, "2": 4},
+            "matrices": {
+                "a": [["0", "0"], ["1", "0"], ["0", "1"], ["0", "0"]],
+                "b": [["0", "0"], ["0", "0"], ["1", "0"], ["0", "1"]],
+            },
+        },
+    }
+    path = tmp_path / "p0p2.json"
+    path.write_text(json.dumps(doc))
+    for command in ("tube", "check"):
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--q", "2")
+        assert (code, out) == (2, ""), command
+        assert "no nonzero submodule of defect zero" in err
+
+
 def test_cli_tube_reports_coordinates(capsys):
     code, out, err = run_cli(capsys, "tube", "--builtin", "kronecker-reg:2", "--q", "2,3")
     assert code == 0

@@ -253,8 +253,22 @@ def test_gaussian_binomial_values():
 
 
 def test_prime_field_inverse_table():
-    f = Field.prime(13)
-    for a in range(1, 13):
-        assert (a * f.inv(a)) % 13 == 1
+    for p in (2, 13, 65537):  # 65537 is past 2^16
+        f = Field.prime(p)
+        for a in range(1, p):
+            assert (a * f.inv(a)) % p == 1
+        assert f.inv(p + 1) == 1
+        with pytest.raises(ZeroDivisionError):
+            f.inv(p)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
     with pytest.raises(InputError):
         Field.prime(6)
+
+
+def test_field_equality_and_hash_read_the_modulus():
+    assert Field.prime(5) == Field.prime(5)
+    assert hash(Field.prime(5)) == hash(Field.prime(5))
+    assert Field.prime(5) != Field.prime(7)
+    assert QQ != Field.prime(2)
+    assert QQ.is_rationals and not Field.prime(2).is_rationals

@@ -345,6 +345,8 @@ def test_mismatched_inputs_raise(kronecker, a2):
     other = rep_from_ints(a2, F2, (1, 1), {"a": [[1]]})
     with pytest.raises(InputError):
         hom_ext(m, other)
+    with pytest.raises(InputError, match="different fields"):
+        hom_ext(m, kronecker_regular(F3, 2))
     with pytest.raises(InputError):
         direct_sum(m, kronecker_regular(F3, 2))
 
@@ -415,3 +417,24 @@ def test_package_imports_are_used():
             used |= set(qgrass.__all__)
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_package_has_one_cache():
+    # linalg._subspaces_cached is the one piece of process-global state the
+    # benchmark's load model names; any other memo is unmeasured traffic
+    import ast
+    import pathlib
+
+    import qgrass
+
+    cached = []
+    for path in sorted(pathlib.Path(qgrass.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in ("lru_cache", "cache"):
+                        cached.append(f"{path.stem}.{node.name}")
+    assert cached == ["linalg._subspaces_cached"]

@@ -103,7 +103,7 @@ def test_tube_coordinates_on_battery():
     for name, (rank, qlen, l, k) in TUBE_EXPECTATIONS.items():
         quiver, rep, points = full_walk(name, 2)
         ed = compute_euler_data(quiver)
-        socle = quasi_socle(rep, points, ed)
+        socle = quasi_socle(rep, points)
         tube = tube_coordinates(ed, rep.dims, socle.dim_vector)
         assert (tube.tube_rank, tube.quasi_length, tube.l, tube.k) == (rank, qlen, l, k), name
         assert tube.ray_dims[-1] == rep.dims
@@ -122,7 +122,7 @@ def test_example1_ray_dims():
 def test_homogeneous_ray_dims_are_multiples_of_delta():
     quiver, rep, points = full_walk("kronecker-reg:4", 2)
     ed = compute_euler_data(quiver)
-    tube = tube_coordinates(ed, rep.dims, quasi_socle(rep, points, ed).dim_vector)
+    tube = tube_coordinates(ed, rep.dims, quasi_socle(rep, points).dim_vector)
     assert tube.tube_rank == 1
     for j, d in enumerate(tube.ray_dims):
         assert d == (j, j)
@@ -146,7 +146,7 @@ def test_canonical_ray_submodules_unique_and_nested():
             quiver, rep, report = full_report(name, q)
             points = census_points(report)
             ed = compute_euler_data(quiver)
-            tube = tube_coordinates(ed, rep.dims, quasi_socle(rep, points, ed).dim_vector)
+            tube = tube_coordinates(ed, rep.dims, quasi_socle(rep, points).dim_vector)
             chain = [canonical_ray_submodule(rep, points, tube, t)
                      for t in range(tube.quasi_length + 1)]
             for t in range(1, tube.quasi_length + 1):
@@ -163,7 +163,7 @@ def test_example1_ray_point_t5():
     image = SubspaceBasis.from_vectors(F2, [[1, 0, 0], [0, 1, 0]], 3)
     assert point.dim_vector == (2, 3, 2)
     assert point.spaces == (image, SubspaceBasis.full(F2, 3), image)
-    assert canonical_ray_submodule(rep, points, tube, 1) == quasi_socle(rep, points, ed)
+    assert canonical_ray_submodule(rep, points, tube, 1) == quasi_socle(rep, points)
 
 
 def test_transverse_combinatorial_example1_empty_slice():
@@ -308,6 +308,20 @@ def test_compare_reports_tube_errors_per_field():
     assert not comparison.verdict
     assert len(comparison.internal_errors) == 2
     assert "AmbiguousQuasiSocle" in comparison.internal_errors[0]
+
+
+def test_compare_raises_not_regular_as_an_input_error():
+    # P0 + P2 over Q: e = dims has defect <delta, dim M> != 0 at every prime,
+    # so no reduction can make the module regular and nothing is recorded
+    quiver = Quiver(["1", "2"], [("a", "1", "2"), ("b", "1", "2")])
+    from qgrass import QQ
+
+    m = rep_from_ints(
+        quiver, QQ, (2, 4),
+        {"a": [[0, 0], [1, 0], [0, 1], [0, 0]], "b": [[0, 0], [0, 0], [1, 0], [0, 1]]},
+    )
+    with pytest.raises(NotRegularError):
+        compare_transverse_loci(m, [2, 3])
 
 
 def test_compare_drops_each_census_before_the_next(monkeypatch):
