@@ -6,7 +6,8 @@ M_a(V_i) <= V_j for every arrow a: i -> j.  Enumeration walks the vertices
 in topological order, so when V_j is chosen every in-arrow source is already
 fixed, and the walk lists only the subspaces that contain their images.
 
-Each point N gets its homological data dim Hom(N, M/N) and dim Ext^1(N, M/N);
+Each point N gets its homological data dim Hom(N, M/N) and dim Ext^1(N, M/N)
+from one rank (reps.tangent_dims), without building N or M/N;
 ext = 0 marks N as homologically transverse, and hom is the tangent-space
 dimension of the Grassmannian at N.  Point counts across several primes
 interpolate exactly over Q, in Newton form, to a counting polynomial whose
@@ -30,7 +31,7 @@ from .linalg import (
     subspaces_containing,
     subspaces_meeting,
 )
-from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient
+from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient, tangent_dims
 
 
 @dataclass(frozen=True)
@@ -238,15 +239,20 @@ def all_dim_vectors(dims) -> list[tuple[int, ...]]:
 def census(m: Representation, e=None) -> dict:
     """Per-point homological census: each target e, every e <= dims in
     all_dim_vectors order for e = None, maps to its CensusEntry list in
-    walk order, empty slices included."""
+    walk order, empty slices included.
+
+    Every point's hom and ext come from tangent_dims.  At the first point of
+    each nonempty slice they must equal hom_ext(*sub_quotient(m, spaces)), or
+    InternalCheckError is raised."""
     complete = e is None
     targets = all_dim_vectors(m.dims) if complete else [m.quiver.check_dim_vector(e)]
     entries_by_e: dict = {target: [] for target in targets}
     for point in enumerate_subreps(m, e):
-        sub, quot = sub_quotient(m, point.spaces)
-        he = hom_ext(sub, quot)
-        entry = CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim)
-        entries_by_e[point.dim_vector].append(entry)
+        he = tangent_dims(m, point.spaces)
+        entries = entries_by_e[point.dim_vector]
+        if not entries and he != hom_ext(*sub_quotient(m, point.spaces)):
+            raise InternalCheckError(f"tangent_dims disagrees with hom_ext at e = {point.dim_vector}")
+        entries.append(CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim))
     if complete and not (len(entries_by_e[(0,) * m.quiver.n]) == len(entries_by_e[m.dims]) == 1):
         raise InternalCheckError("a full census needs exactly one point at e = 0 and one at e = dims")
     return entries_by_e

@@ -7,17 +7,20 @@ Hom and Ext^1 between representations M and N come from one linear map,
     Delta(f)_a = f_j . M_a - N_a . f_i,
 
 whose kernel is Hom(M, N) and whose cokernel is Ext^1(M, N); path algebras
-of acyclic quivers are hereditary, so nothing higher survives.  The identity
-hom - ext = <dim M, dim N> is checked on every call.
+of acyclic quivers are hereditary, so nothing higher survives.  Whatever the
+rank, hom - ext = dim(domain) - dim(codomain), which is the Euler form
+<dim M, dim N>; so the check of that identity that hom_ext makes on every
+call catches a mis-sized Delta, never a wrong entry.
 """
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .fields import Field
-from .linalg import Matrix, SubspaceBasis, rref
+from .linalg import Matrix, SubspaceBasis, _rref_rows, rref
 from .quiver import Quiver, euler_form
 
 
@@ -67,7 +70,8 @@ class HomExtResult(NamedTuple):
 
 
 def hom_ext(m: Representation, n: Representation) -> HomExtResult:
-    """dim Hom(m, n) and dim Ext^1(m, n) via the rank of Delta."""
+    """dim Hom(m, n) and dim Ext^1(m, n) via the rank of Delta.  A Delta of
+    the wrong shape breaks the Euler identity and raises InternalCheckError."""
     if m.quiver != n.quiver:
         raise InputError("representations live on different quivers")
     if m.field != n.field:
@@ -175,6 +179,42 @@ def sub_quotient(m: Representation, spaces) -> tuple[Representation, Representat
     sub = Representation(quiver, field, sub_dims, sub_mats)
     quot = Representation(quiver, field, quot_dims, quot_mats)
     return sub, quot
+
+
+def tangent_dims(m: Representation, spaces) -> HomExtResult:
+    """hom_ext(*sub_quotient(m, spaces)) from one rank, building no
+    Representation: Delta's rows, in hom_ext's coordinates f_i in
+    Mat((d - e)_i x e_i), are written straight from sub_quotient's blocks.
+    """
+    spaces = _check_spaces(m, spaces)
+    field, idx = m.field, m.quiver.vertex_index
+    sub = [s.dim for s in spaces]
+    quot = [d - e for d, e in zip(m.dims, sub)]
+    offset = [0, *accumulate(q * e for q, e in zip(quot, sub))]
+    nonpivots = [[c for c in range(s.ambient_dim) if c not in s.pivots] for s in spaces]
+    rows = []  # one per coordinate of the codomain
+    for a in m.quiver.arrows:
+        i, j = idx[a.source], idx[a.target]
+        mat, si, sj = m.matrices[a.name], spaces[i], spaces[j]
+        images = [mat.apply(si.matrix.row(r)) for r in range(si.dim)]
+        if any(any(sj.reduce_vector(v)) for v in images):
+            raise InputError("the given spaces are not a subrepresentation")
+        if not (quot[j] and sub[i]):
+            continue
+        # column c of the sub block, and the columns of the quotient block
+        sub_cols = [[v[t] for t in sj.pivots] for v in images]
+        residuals = [sj.reduce_vector(mat.entries[c :: mat.cols]) for c in nonpivots[i]]
+        oi, oj, ei, ej = offset[i], offset[j], sub[i], sub[j]
+        for r, t in enumerate(nonpivots[j]):
+            minus_quot_row = [field.neg(v[t]) for v in residuals]
+            for c, col in enumerate(sub_cols):
+                row = [field.zero] * offset[-1]
+                # d/d f_j[r][k] of (f_j . S_a)[r][c], then of -(Q_a . f_i)[r][c]
+                row[oj + r * ej : oj + (r + 1) * ej] = col
+                row[oi + c : oi + quot[i] * ei : ei] = minus_quot_row
+                rows.append(row)
+    rank = len(_rref_rows(rows, offset[-1], field))
+    return HomExtResult(offset[-1] - rank, len(rows) - rank)
 
 
 def reduce_mod_p(m: Representation, p: int) -> Representation:

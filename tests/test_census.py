@@ -14,6 +14,7 @@ from qgrass import (
     CountNotPolynomialError,
     CountingPolynomial,
     Field,
+    HomExtResult,
     InputError,
     InternalCheckError,
     Quiver,
@@ -28,12 +29,15 @@ from qgrass import (
     enumerate_subreps,
     euler_form,
     gaussian_binomial,
+    hom_ext,
     is_rigid,
     is_subrep,
     point_counts,
     reduce_mod_p,
+    sub_quotient,
 )
-from conftest import BATTERY, builtin_rep, rep_from_ints, twist
+from qgrass.reps import tangent_dims
+from conftest import BATTERY, PACKAGE_ROOT, builtin_rep, rep_from_ints, twist
 
 F2 = Field.prime(2)
 
@@ -313,15 +317,27 @@ def small_reps(draw):
     return rep_from_ints(quiver, Field.prime(q), dims, matrices)
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
-@given(small_reps())
-# V_2 free to meet the kernel or not, with A != 0 and with two arrows
-@example(rep_from_ints(RANDOM_QUIVERS[3], Field.prime(3), (2, 2, 2), {
-    "a12": [[1, 0], [0, 0]], "a13": [[1, 1], [0, 1]],
-}))
-@example(rep_from_ints(RANDOM_QUIVERS[4], F2, (1, 2, 2), {
-    "a12": [[1], [0]], "b": [[1, 0], [0, 1]], "c": [[0, 1], [0, 0]],
-}))
+RANDOM_EXAMPLES = [
+    # V_2 free to meet the kernel or not, with A != 0 and with two arrows
+    rep_from_ints(RANDOM_QUIVERS[3], Field.prime(3), (2, 2, 2), {
+        "a12": [[1, 0], [0, 0]], "a13": [[1, 1], [0, 1]],
+    }),
+    rep_from_ints(RANDOM_QUIVERS[4], F2, (1, 2, 2), {
+        "a12": [[1], [0]], "b": [[1, 0], [0, 1]], "c": [[0, 1], [0, 0]],
+    }),
+]
+
+
+def on_random_reps(test):
+    """Run test on 60 derandomized small_reps draws and on RANDOM_EXAMPLES."""
+    for rep in reversed(RANDOM_EXAMPLES):
+        test = example(rep)(test)
+    return settings(max_examples=60, derandomize=True, database=None, deadline=None)(
+        given(small_reps())(test)
+    )
+
+
+@on_random_reps
 def test_point_counts_match_brute_force_on_random_representations(m):
     slices = {}
     for point in enumerate_subreps(m):
@@ -331,6 +347,13 @@ def test_point_counts_match_brute_force_on_random_representations(m):
         assert count == len(slow), (m.dims, e)
         by_key = SubrepPoint.sort_key
         assert sorted(slices.get(e, []), key=by_key) == sorted(slow, key=by_key), (m.dims, e)
+
+
+@on_random_reps
+def test_tangent_dims_match_sub_quotient_and_hom_ext_on_random_representations(m):
+    for point in enumerate_subreps(m):
+        fast = tangent_dims(m, point.spaces)
+        assert fast == hom_ext(*sub_quotient(m, point.spaces)), (m.dims, point.dim_vector)
 
 
 def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
@@ -353,6 +376,67 @@ def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
             (x.point, x.hom_dim, x.ext_dim) for x in full[e]
         ], e
     assert len(calls) == 1 + len(full)
+
+
+def test_census_checks_tangent_dims_against_hom_ext(monkeypatch):
+    module = importlib.import_module("qgrass.census")
+    real = module.tangent_dims
+
+    def off_by_one(m, spaces):
+        hom, ext = real(m, spaces)
+        return HomExtResult(hom + 1, ext + 1)
+
+    monkeypatch.setattr(module, "tangent_dims", off_by_one)
+    _, rep = modp("kronecker-reg:1", 2)
+    with pytest.raises(InternalCheckError, match=r"tangent_dims disagrees with hom_ext at e = \(0, 0\)"):
+        census(rep)
+
+
+def test_census_check_of_tangent_dims_survives_optimize():
+    # the per-slice check must not be an assert, which python -O strips
+    import subprocess
+    import sys
+
+    script = (
+        "import importlib, sys, qgrass.cli\n"
+        "module = importlib.import_module('qgrass.census')\n"
+        "real = module.tangent_dims\n"
+        "module.tangent_dims = lambda m, s: qgrass.HomExtResult(*(x + 1 for x in real(m, s)))\n"
+        "sys.exit(qgrass.cli.main(['census', '--builtin', 'kronecker-reg:1', '--q', '2']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "tangent_dims disagrees with hom_ext" in proc.stderr
+
+
+def test_census_builds_modules_only_to_check_one_point_per_slice(monkeypatch):
+    # tangent_dims builds no Representation; sub_quotient builds N and M/N
+    # at the first point of each nonempty slice, for the check
+    module = importlib.import_module("qgrass.census")
+    split, init = module.sub_quotient, Representation.__init__
+    splits, inits = [], []
+
+    def counted_split(m, spaces):
+        splits.append(1)
+        return split(m, spaces)
+
+    def counted_init(self, *args, **kwargs):
+        inits.append(1)
+        init(self, *args, **kwargs)
+
+    _, rep = modp("a21-ex3", 3)
+    monkeypatch.setattr(module, "sub_quotient", counted_split)
+    monkeypatch.setattr(Representation, "__init__", counted_init)
+    report = census(rep)
+    nonempty = sum(1 for entries in report.values() if entries)
+    assert nonempty == 13 and sum(len(entries) for entries in report.values()) > 13
+    assert (len(splits), len(inits)) == (nonempty, 2 * nonempty)
 
 
 def test_closed_form_count_checks_its_subspace_total(monkeypatch):

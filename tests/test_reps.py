@@ -25,6 +25,7 @@ from qgrass import (
     reduce_mod_p,
     sub_quotient,
 )
+from qgrass.reps import tangent_dims
 from conftest import PACKAGE_ROOT, builtin_rep, rep_from_ints, twist
 
 F2 = Field.prime(2)
@@ -177,24 +178,35 @@ def test_sub_quotient_splits_regular_length_two():
         assert rep.matrices["b"].entries == (Fraction(0),)
 
 
-def test_sub_quotient_requires_subrep():
+def _not_subreps():
+    """Kronecker modules over F_2 with spaces that some arrow leaves."""
     m = kronecker_regular(F2, 2)
-    bad = (SubspaceBasis.from_vectors(F2, [[0, 1]], 2), SubspaceBasis.zero(F2, 2))
-    with pytest.raises(InputError):
-        sub_quotient(m, bad)
+    yield m, (SubspaceBasis.from_vectors(F2, [[0, 1]], 2), SubspaceBasis.zero(F2, 2))
     # a = identity keeps the line e_1, b = the Jordan block sends it to e_0:
     # only the second arrow leaves the spaces
     line = SubspaceBasis.from_vectors(F2, [[0, 1]], 2)
     assert [a.name for a in m.quiver.arrows] == ["a", "b"]
-    with pytest.raises(InputError, match="^the given spaces are not a subrepresentation$"):
-        sub_quotient(m, (line, line))
+    yield m, (line, line)
     # (F^2, <e_0>): a sends e_0, e_1 to e_0, 0 and b = identity keeps e_0, so
     # only the image of the second basis row under the second arrow leaves
     m = rep_from_ints(m.quiver, F2, (2, 2), {"a": [[1, 0], [0, 0]], "b": [[1, 0], [0, 1]]})
+    yield m, (SubspaceBasis.full(F2, 2), SubspaceBasis.from_vectors(F2, [[1, 0]], 2))
+
+
+def test_sub_quotient_requires_subrep():
+    for m, spaces in _not_subreps():
+        with pytest.raises(InputError, match="^the given spaces are not a subrepresentation$"):
+            sub_quotient(m, spaces)
     first = SubspaceBasis.from_vectors(F2, [[1, 0]], 2)
-    with pytest.raises(InputError, match="^the given spaces are not a subrepresentation$"):
-        sub_quotient(m, (SubspaceBasis.full(F2, 2), first))
     assert sub_quotient(m, (first, first))[0].dims == (1, 1)
+
+
+def test_tangent_dims_requires_subrep():
+    for m, spaces in _not_subreps():
+        with pytest.raises(InputError, match="^the given spaces are not a subrepresentation$"):
+            tangent_dims(m, spaces)
+    first = SubspaceBasis.from_vectors(F2, [[1, 0]], 2)
+    assert tangent_dims(m, (first, first)) == hom_ext(*sub_quotient(m, (first, first)))
 
 
 def _walk_modules():
@@ -258,6 +270,38 @@ def test_sub_quotient_applies_m_once_per_basis_image(monkeypatch):
             sub_quotient(m, point.spaces)
             expected = sum(point.dim_vector[idx[a.source]] for a in m.quiver.arrows)
             assert len(calls) == expected, (q, point.dim_vector)
+
+
+def _assert_tangent_dims_match_oracle(m, label):
+    # the census's rank-only path against its oracle at every point, on m as
+    # given and on two dense twists of it
+    for module in (m, twist(m, seed=1), twist(m, seed=2)):
+        for point in enumerate_subreps(module):
+            fast = tangent_dims(module, point.spaces)
+            assert fast == hom_ext(*sub_quotient(module, point.spaces)), (label, point)
+
+
+@pytest.mark.parametrize("name", ["a21-ex3", "a21-ex1", "a21-ray:5", "kronecker-reg:3", "kronecker-preproj:2"])
+def test_tangent_dims_match_sub_quotient_and_hom_ext(name):
+    _, rep = builtin_rep(name)
+    for q in (2, 3, 5):
+        _assert_tangent_dims_match_oracle(reduce_mod_p(rep, q), (name, q))
+
+
+def test_tangent_dims_match_sub_quotient_and_hom_ext_on_band_modules():
+    # every built-in is a string module, on which a torus rescales each
+    # arrow entry on its own, so negating a block of Delta keeps its rank
+    # there.  Not on a21 modules in homogeneous tubes (R_t: a12 = a23 = 1,
+    # a13 = t), as negating M/N's arrows sends R_t to R_-t: here R_1 + R_1[2]
+    # and R_1 + R_-1 + R_1.  Their dense twists also see a sub block that
+    # is transposed where it is square
+    quiver = a21_module(F3, 1).quiver
+    ident = [[int(i == j) for j in range(3)] for i in range(3)]
+    for q in (3, 5):
+        field = Field.prime(q)
+        for a13 in ([[1, 0, 0], [0, 1, 1], [0, 0, 1]], [[1, 0, 0], [0, q - 1, 0], [0, 0, 1]]):
+            m = rep_from_ints(quiver, field, (3, 3, 3), {"a12": ident, "a23": ident, "a13": a13})
+            _assert_tangent_dims_match_oracle(m, (q, a13))
 
 
 def test_reduce_mod_p():

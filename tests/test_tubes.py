@@ -20,6 +20,7 @@ from qgrass import (
     defect,
     direct_sum,
     enumerate_subreps,
+    point_counts,
     quasi_socle,
     reduce_mod_p,
     transverse_combinatorial,
@@ -259,22 +260,32 @@ def test_cli_tube_computes_no_tangent_data(monkeypatch):
 
     census_module = importlib.import_module("qgrass.census")
     real = census_module.sub_quotient
+    real_dims = census_module.tangent_dims
     calls = []
+    dims_calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
+    def counted_dims(*args, **kwargs):
+        dims_calls.append(1)
+        return real_dims(*args, **kwargs)
+
     monkeypatch.setattr(census_module, "sub_quotient", counted)
+    monkeypatch.setattr(census_module, "tangent_dims", counted_dims)
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert cli_main(["tube", "--builtin", "a21-ex3", "--q", "2,3"]) == 0
     assert calls == []
+    assert dims_calls == []
     assert '"quasi_socle"' in out.getvalue()
-    # the wrap does see the census that check runs
+    # the wraps do see the census that check runs: tangent data at every point
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli_main(["check", "--builtin", "a21-ex3", "--q", "2"]) == 0
     assert calls
+    _, rep = builtin_rep("a21-ex3")
+    assert len(dims_calls) == sum(point_counts(reduce_mod_p(rep, 2)).values())
 
 
 def test_compare_transverse_loci_battery_members():
