@@ -68,7 +68,6 @@ from .tubes import (
     FieldComparison,
     TransverseComparison,
     TubeData,
-    canonical_ray_submodule,
     compare_transverse_loci,
     quasi_socle,
     transverse_combinatorial,
@@ -104,7 +103,6 @@ __all__ = [
     "all_dim_vectors",
     "brute_force_subreps",
     "builtin_names",
-    "canonical_ray_submodule",
     "census",
     "compare_transverse_loci",
     "compute_euler_data",

@@ -21,14 +21,9 @@ from .census import CountingPolynomial, census, enumerate_subreps, point_counts
 from .documents import document_digest, parse_document, read_document
 from .errors import InputError, InternalCheckError
 from .fields import distinct_primes, next_prime
-from .quiver import compute_euler_data, euler_form
+from .quiver import euler_form
 from .reps import is_rigid, reduce_mod_p
-from .tubes import (
-    canonical_ray_submodule,
-    compare_transverse_loci,
-    quasi_socle,
-    tube_coordinates,
-)
+from .tubes import compare_transverse_loci, transverse_combinatorial
 
 EXIT_OK = 0
 EXIT_COUNTEREXAMPLE = 1
@@ -50,9 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
             src.add_argument("--input", help="path to a JSON input document")
             src.add_argument("--builtin", help="name of a built-in module")
         p.add_argument("--q", default="2,3", help="comma-separated primes (default 2,3)")
-        evt = p.add_mutually_exclusive_group()
-        evt.add_argument("--e", help="comma-separated dimension vector")
-        evt.add_argument("--all-e", action="store_true", help="every e <= dims (default)")
+        p.add_argument("--e", help="comma-separated dimension vector (default: every e <= dims)")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     add_common(sub.add_parser("census", help="point-by-point homological census"))
@@ -140,26 +133,22 @@ def _run_command(args) -> int:
 
     if args.command == "tube":
         results = []
-        ed = compute_euler_data(quiver)
         for q in q_list:
             rep_q = reduce_mod_p(rep, q)
-            if is_rigid(rep_q):
+            if is_rigid(rep_q):  # a rigid module is not walked
                 results.append({"q": q, "rigid": True})
                 continue
-            points = enumerate_subreps(rep_q)
-            socle = quasi_socle(rep_q, points)
-            tube = tube_coordinates(ed, rep_q.dims, socle.dim_vector)
-            rays = []
-            for t in range(1, tube.quasi_length + 1):
-                point = canonical_ray_submodule(rep_q, points, tube, t)
-                rays.append({"t": t, "dims": list(tube.ray_dims[t]),
-                             "point": _point_obj(quiver, point)})
+            locus = transverse_combinatorial(rep_q, enumerate_subreps(rep_q))
+            rays = [
+                {"t": t, "dims": list(point.dim_vector), "point": _point_obj(quiver, point)}
+                for t, point in enumerate(locus.rays[1:], 1)
+            ]
             results.append(
                 {
                     "q": q,
                     "rigid": False,
-                    "quasi_socle": _point_obj(quiver, socle),
-                    "tube": _tube_obj(tube),
+                    "quasi_socle": _point_obj(quiver, locus.rays[1]),
+                    "tube": _tube_obj(locus.tube),
                     "ray_submodules": rays,
                 }
             )

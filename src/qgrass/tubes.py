@@ -8,9 +8,10 @@ are Phi^{-j}(dim R0) and their partial sums are the ray dimension vectors.
 
 The combinatorial transverse locus keeps every point except those pinched
 between the canonical ray submodules of quasi-lengths k + 1 and l*p - 1
-(for a rigid module nothing is removed), so it is stored as that window;
-it needs only the points of every e (``enumerate_subreps(m)``), no tangent
-data.  The homological locus keeps the points with Ext^1(N, M/N) = 0.
+(for a rigid module nothing is removed), so it is stored as the ray
+submodules; it needs only the points of every e (``enumerate_subreps(m)``),
+no tangent data.  The homological locus keeps the points with
+Ext^1(N, M/N) = 0.
 ``compare_transverse_loci`` runs a census to test both at every point over
 each requested prime field, and reports whether they coincide.
 """
@@ -30,7 +31,6 @@ from .errors import (
     RigidRegularError,
 )
 from .fields import distinct_primes
-from .linalg import SubspaceBasis
 from .quiver import EulerData, compute_euler_data, coxeter_apply, defect
 from .reps import Representation, is_rigid, reduce_mod_p
 
@@ -154,38 +154,29 @@ def tube_coordinates(euler_data: EulerData, dim_m, dim_r0) -> TubeData:
     )
 
 
-def canonical_ray_submodule(m: Representation, points, tube: TubeData, t: int) -> SubrepPoint:
-    """The unique point among points with the quasi-length-t ray dims.
-
-    t = 0 gives the zero point.  Uniqueness is a structural fact for genuine
-    regular indecomposables; a different count raises RayAmbiguityError.
-    """
-    if not 0 <= t <= tube.quasi_length:
-        raise InputError(f"ray index {t} out of range 0..{tube.quasi_length}")
-    if t == 0:
-        spaces = tuple(SubspaceBasis.zero(m.field, d) for d in m.dims)
-        return SubrepPoint(spaces=spaces, dim_vector=(0,) * m.quiver.n)
-    dims = tube.ray_dims[t]
-    found = [point for point in points if point.dim_vector == dims]
-    if len(found) != 1:
-        raise RayAmbiguityError(dims, len(found))
-    return found[0]
-
-
 @dataclass(frozen=True)
 class CombinatorialTransverse:
     """The combinatorial transverse locus: every point N except those with
     lower <= N <= upper, the ray submodules of quasi-lengths k + 1 and
-    l*p - 1.  All three fields are None for a rigid module, which keeps
+    l*p - 1.  rays[t] is the unique point with dims tube.ray_dims[t], for
+    t = 0..quasi_length, so rays[0] is the zero point and rays[1] the
+    quasi-socle.  A rigid module has tube None and no rays, and keeps
     every point."""
 
     tube: TubeData | None
-    lower: SubrepPoint | None
-    upper: SubrepPoint | None
+    rays: tuple
 
     @property
     def rigid(self) -> bool:
         return self.tube is None
+
+    @property
+    def lower(self) -> SubrepPoint | None:
+        return None if self.rigid else self.rays[self.tube.k + 1]
+
+    @property
+    def upper(self) -> SubrepPoint | None:
+        return None if self.rigid else self.rays[self.tube.l * self.tube.tube_rank - 1]
 
     def flags(self, point: SubrepPoint) -> tuple | None:
         """(lower <= point, point <= upper), or None for a rigid module."""
@@ -201,24 +192,28 @@ def transverse_combinatorial(m: Representation, points) -> CombinatorialTransver
     """Combinatorial transverse locus of m from its points of every e.
 
     Rigid modules keep their whole Grassmannian.  Otherwise the quasi-socle
-    and tube coordinates are computed, and the locus excludes the points N
-    with ray(k+1) <= N <= ray(l*p - 1).
+    and tube coordinates are computed, and one pass over the points finds
+    every ray submodule; a ray dimension vector held by other than exactly
+    one point raises RayAmbiguityError.
     """
     _require_every_e(m, points, "the combinatorial transverse locus")
     if is_rigid(m):
-        return CombinatorialTransverse(tube=None, lower=None, upper=None)
+        return CombinatorialTransverse(tube=None, rays=())
 
     ed = compute_euler_data(m.quiver)
     if not ed.is_affine:
         raise InputError(
             "combinatorial transverse locus undefined: non-rigid module on a non-affine quiver"
         )
-    socle = quasi_socle(m, points)
-    tube = tube_coordinates(ed, m.dims, socle.dim_vector)
-
-    lower = canonical_ray_submodule(m, points, tube, tube.k + 1)
-    upper = canonical_ray_submodule(m, points, tube, tube.l * tube.tube_rank - 1)
-    return CombinatorialTransverse(tube=tube, lower=lower, upper=upper)
+    tube = tube_coordinates(ed, m.dims, quasi_socle(m, points).dim_vector)
+    found = {dims: [] for dims in tube.ray_dims}  # in t order
+    for point in points:
+        if point.dim_vector in found:
+            found[point.dim_vector].append(point)
+    for dims, bucket in found.items():
+        if len(bucket) != 1:
+            raise RayAmbiguityError(dims, len(bucket))
+    return CombinatorialTransverse(tube=tube, rays=tuple(bucket[0] for bucket in found.values()))
 
 
 @dataclass

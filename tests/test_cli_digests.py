@@ -27,6 +27,9 @@ from conftest import BATTERY
 from qgrass.cli import main
 
 DIGESTS = Path(__file__).with_name("cli_digests.json")
+ROOT = Path(__file__).resolve().parent.parent
+# a band module: every built-in is a string module
+BAND = "tests/inputs/a21-band-2.json"
 
 
 def command_lines() -> list[list[str]]:
@@ -41,10 +44,14 @@ def command_lines() -> list[list[str]]:
     lines.append(["check", "--builtin", "a21-ray:7", "--q", "2,3"])
     lines.append(["census", "--builtin", "a21-ex1", "--e", "1,2,1", "--q", "2,3"])
     lines.append(["transverse", "--builtin", "kronecker-reg:3", "--e", "1,1", "--q", "2,3"])
+    lines += [[command, "--input", BAND, "--q", "2,3,5"] for command in ("census", "check", "tube")]
     return lines
 
 
 def run(argv: list[str]) -> dict:
+    """Exit code and stdout digest of argv; an --input path is read from
+    the repository root, so the recorded argv names no checkout."""
+    argv = [str(ROOT / arg) if flag == "--input" else arg for flag, arg in zip(["", *argv], argv)]
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)

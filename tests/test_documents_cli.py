@@ -377,10 +377,40 @@ def test_cli_full_census_commands_reject_e(capsys, command):
 
 @pytest.mark.parametrize("command", ["census", "transverse", "chi"])
 def test_cli_empty_e_is_an_input_error(capsys, command):
-    # an explicit empty vector is not --all-e
+    # an explicit empty vector is not every e
     code, out, err = run_cli(capsys, command, "--builtin", "a21-ex3", "--q", "2", "--e", "")
     assert (code, out) == (2, "")
     assert err == "error: bad dimension vector ''\n"
+
+
+def test_cli_has_no_all_e_flag(capsys):
+    # every command already defaults to every e
+    code, out, err = run_cli(capsys, "census", "--builtin", "a21-ex3", "--q", "2", "--all-e")
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: --all-e" in err
+
+
+def test_cli_tube_and_check_give_one_error_off_affine_quivers(capsys, tmp_path):
+    # a non-rigid module on the 3-Kronecker quiver, which is not affine
+    doc = {
+        "quiver": {
+            "vertices": ["1", "2"],
+            "arrows": [{"id": x, "from": "1", "to": "2"} for x in ("a", "b", "c")],
+        },
+        "representation": {
+            "dims": {"1": 1, "2": 1},
+            "matrices": {"a": [["1"]], "b": [["0"]], "c": [["0"]]},
+        },
+    }
+    path = tmp_path / "k3.json"
+    path.write_text(json.dumps(doc))
+    errors = []
+    for command in ("tube", "check"):
+        code, out, err = run_cli(capsys, command, "--input", str(path), "--q", "2")
+        assert (code, out) == (2, ""), command
+        errors.append(err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: combinatorial transverse locus undefined")
 
 
 def test_cli_internal_errors_exit_3(capsys, tmp_path):

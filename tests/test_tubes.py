@@ -13,7 +13,6 @@ from qgrass import (
     Quiver,
     RigidRegularError,
     SubspaceBasis,
-    canonical_ray_submodule,
     census,
     compare_transverse_loci,
     compute_euler_data,
@@ -141,30 +140,65 @@ def test_tube_coordinates_error_paths(a21):
         tube_coordinates(ed, (2, 3, 2), (1, 1, 1))
 
 
-def test_canonical_ray_submodules_unique_and_nested():
+def test_ray_submodules_unique_and_nested():
     for name in BATTERY:
         for q in (2, 3):
             quiver, rep, report = full_report(name, q)
             points = census_points(report)
-            ed = compute_euler_data(quiver)
-            tube = tube_coordinates(ed, rep.dims, quasi_socle(rep, points).dim_vector)
-            chain = [canonical_ray_submodule(rep, points, tube, t)
-                     for t in range(tube.quasi_length + 1)]
-            for t in range(1, tube.quasi_length + 1):
-                assert len(report[tube.ray_dims[t]]) == 1, (name, q, t)
-            for small, big in zip(chain, chain[1:]):
+            locus = transverse_combinatorial(rep, points)
+            tube = locus.tube
+            assert len(locus.rays) == len(tube.ray_dims), (name, q)
+            for dims, ray in zip(tube.ray_dims, locus.rays):
+                assert [x.point for x in report[dims]] == [ray], (name, q, dims)
+            for small, big in zip(locus.rays, locus.rays[1:]):
                 assert small.leq(big), (name, q)
+            assert locus.rays[1] == quasi_socle(rep, points)
+            # kronecker-reg:1 has p = l = 1, so its upper is rays[0], the zero point
+            window = (locus.rays[tube.k + 1], locus.rays[tube.l * tube.tube_rank - 1])
+            assert (locus.lower, locus.upper) == window, (name, q)
 
 
 def test_example1_ray_point_t5():
     quiver, rep, points = full_walk("a21-ex1", 2)
-    ed = compute_euler_data(quiver)
-    tube = tube_coordinates(ed, rep.dims, (0, 1, 0))
-    point = canonical_ray_submodule(rep, points, tube, 5)
+    rays = transverse_combinatorial(rep, points).rays
     image = SubspaceBasis.from_vectors(F2, [[1, 0, 0], [0, 1, 0]], 3)
-    assert point.dim_vector == (2, 3, 2)
-    assert point.spaces == (image, SubspaceBasis.full(F2, 3), image)
-    assert canonical_ray_submodule(rep, points, tube, 1) == quasi_socle(rep, points)
+    assert rays[5].dim_vector == (2, 3, 2)
+    assert rays[5].spaces == (image, SubspaceBasis.full(F2, 3), image)
+    assert rays[0].spaces == tuple(SubspaceBasis.zero(F2, 3) for _ in range(3))
+
+
+def test_every_ray_must_be_unique(monkeypatch):
+    # a21-ex1 has l = 3, k = 0, p = 2: the window is rays 1 and 5, and a
+    # second point at ray 2, 3 or 4 is refused all the same
+    import contextlib
+    import importlib
+    import io
+
+    from qgrass import RayAmbiguityError
+    from qgrass.cli import main as cli_main
+
+    quiver, rep, points = full_walk("a21-ex1", 2)
+    tube = transverse_combinatorial(rep, points).tube
+    for t in (2, 3, 4):
+        twice = [*points, next(x for x in points if x.dim_vector == tube.ray_dims[t])]
+        with pytest.raises(RayAmbiguityError) as caught:
+            transverse_combinatorial(rep, twice)
+        assert (caught.value.dim_vector, caught.value.count) == (tube.ray_dims[t], 2)
+
+    tubes = importlib.import_module("qgrass.tubes")
+    real_census = tubes.census
+
+    def doubled_census(rep_q, e=None):
+        report = real_census(rep_q, e)
+        report[tube.ray_dims[3]] = report[tube.ray_dims[3]] * 2
+        return report
+
+    monkeypatch.setattr(tubes, "census", doubled_census)
+    [fc2, fc3] = compare_transverse_loci(builtin_rep("a21-ex1")[1], [2, 3]).per_field
+    expected = f"RayAmbiguityError: {RayAmbiguityError(tube.ray_dims[3], 2)}"
+    assert fc2.error == fc3.error == expected
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli_main(["check", "--builtin", "a21-ex1", "--q", "2,3"]) == 3
 
 
 def test_transverse_combinatorial_example1_empty_slice():
