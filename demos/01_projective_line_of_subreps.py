@@ -11,7 +11,7 @@ transverse point at all, even though <e, d-e> = 0.
 
 from qgrass import (
     census,
-    counting_polynomial,
+    counting_polynomials,
     emit_builtin,
     euler_form,
     parse_document,
@@ -33,7 +33,7 @@ for q in (2, 3, 5):
         f"transverse points: {sum(x.ext_dim == 0 for x in entries)}"
     )
 
-poly = counting_polynomial(module, e, [2, 3])
+poly = counting_polynomials(module, [2, 3], e)[e]
 print(f"counting polynomial: {poly}  (checked at q = {poly.check_sample[0]})")
 print(f"Euler characteristic: {poly.euler_characteristic}, degree {poly.degree}")
 print("degree 1 > <e, d-e> = 0: the slice is bigger than the expected dimension")

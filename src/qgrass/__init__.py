@@ -16,7 +16,7 @@ from .census import (
     all_dim_vectors,
     brute_force_subreps,
     census,
-    counting_polynomial,
+    counting_polynomials,
     enumerate_subreps,
     point_counts,
 )
@@ -106,7 +106,7 @@ __all__ = [
     "census",
     "compare_transverse_loci",
     "compute_euler_data",
-    "counting_polynomial",
+    "counting_polynomials",
     "coxeter_apply",
     "defect",
     "direct_sum",

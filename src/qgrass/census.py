@@ -326,19 +326,29 @@ class CountingPolynomial:
         return " + ".join(terms).replace("+ -", "- ") if terms else "0"
 
 
-def counting_polynomial(m: Representation, e, q_list) -> CountingPolynomial:
-    """Interpolate point counts of Gr_e over the sampled primes.
+def counting_polynomials(m: Representation, q_list, e=None) -> dict:
+    """Interpolate |Gr_e(M)(F_q)| over the sampled primes, for the given e
+    or for every e <= dims in all_dim_vectors order.
 
-    One extra prime (the smallest one past the samples) is counted and
-    compared against the interpolation; see CountingPolynomial.from_samples.
+    One point_counts walk per prime counts every target e, and one extra
+    prime (the smallest one past the samples) is counted and compared
+    against the interpolation.  Each e maps to its CountingPolynomial, or
+    to the CountNotPolynomialError that CountingPolynomial.from_samples
+    raised for it.
     """
     if not m.field.is_rationals:
-        raise InputError("counting_polynomial expects a representation over the rationals")
-    q_list = distinct_primes(q_list)
-    e = m.quiver.check_dim_vector(e)
-    check_q = next_prime(max(q_list))
-    samples = [(q, point_counts(reduce_mod_p(m, q), e)[e]) for q in [*q_list, check_q]]
-    return CountingPolynomial.from_samples(samples[:-1], samples[-1])
+        raise InputError("counting_polynomials expects a representation over the rationals")
+    primes = distinct_primes(q_list)
+    primes.append(next_prime(max(primes)))
+    counts = [point_counts(reduce_mod_p(m, q), e) for q in primes]
+    out = {}
+    for target in counts[0]:
+        samples = [(q, by_e[target]) for q, by_e in zip(primes, counts)]
+        try:
+            out[target] = CountingPolynomial.from_samples(samples[:-1], samples[-1])
+        except CountNotPolynomialError as exc:
+            out[target] = exc
+    return out
 
 
 def brute_force_subreps(m: Representation, e) -> list[SubrepPoint]:

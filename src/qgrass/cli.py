@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Commands: census, transverse, tube, check, chi, example.  Reports go to
+Commands: census, tube, check, chi, example.  Reports go to
 standard output (deterministic JSON by default, or a plain-text table);
 diagnostics and timing go to standard error.  Exit codes: 0 success (for
 check: loci coincide), 1 check found a counterexample, 2 input or usage
@@ -17,10 +17,10 @@ import traceback
 
 from . import __version__
 from .builtin import emit_builtin
-from .census import CountingPolynomial, census, enumerate_subreps, point_counts
+from .census import census, counting_polynomials, enumerate_subreps
 from .documents import document_digest, parse_document, read_document
-from .errors import InputError, InternalCheckError
-from .fields import distinct_primes, next_prime
+from .errors import CountNotPolynomialError, InputError, InternalCheckError
+from .fields import distinct_primes
 from .quiver import euler_form
 from .reps import is_rigid, reduce_mod_p
 from .tubes import compare_transverse_loci, transverse_combinatorial
@@ -49,7 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     add_common(sub.add_parser("census", help="point-by-point homological census"))
-    add_common(sub.add_parser("transverse", help="points with vanishing Ext^1(N, M/N)"))
     add_common(sub.add_parser("tube", help="quasi-socle and tube coordinates"))
     add_common(sub.add_parser("check", help="compare combinatorial and homological loci"))
     add_common(sub.add_parser("chi", help="counting polynomial and Euler characteristic"))
@@ -112,25 +111,6 @@ def _run_command(args) -> int:
         _emit(base, args.format)
         return EXIT_OK
 
-    if args.command == "transverse":
-        results = []
-        for q in q_list:
-            per_e = []
-            for e, entries in census(reduce_mod_p(rep, q), e_sel).items():
-                pts = [x.point for x in entries if x.ext_dim == 0]
-                per_e.append(
-                    {
-                        "e": list(e),
-                        "total_points": len(entries),
-                        "transverse_points": len(pts),
-                        "points": [_point_obj(quiver, p) for p in pts],
-                    }
-                )
-            results.append({"q": q, "per_e": per_e})
-        base["results"] = results
-        _emit(base, args.format)
-        return EXIT_OK
-
     if args.command == "tube":
         results = []
         for q in q_list:
@@ -167,18 +147,11 @@ def _run_command(args) -> int:
         return EXIT_OK if comparison.verdict else EXIT_COUNTEREXAMPLE
 
     if args.command == "chi":
-        # one walk per prime counts every slice; the last prime checks the interpolation
-        primes = [*q_list, next_prime(max(q_list))]
-        counts = [point_counts(reduce_mod_p(rep, q), e_sel) for q in primes]
-        results = []
-        failed = False
-        for e in counts[0]:
-            samples = [(q, by_e[e]) for q, by_e in zip(primes, counts)]
-            try:
-                poly = CountingPolynomial.from_samples(samples[:-1], samples[-1])
-            except InternalCheckError as exc:
-                failed = True
-                results.append({"e": list(e), "error": str(exc)})
+        results, failed = [], []
+        for e, poly in counting_polynomials(rep, q_list, e_sel).items():
+            if isinstance(poly, CountNotPolynomialError):
+                failed.append(f"e = {e}: {poly}")
+                results.append({"e": list(e), "error": str(poly)})
                 continue
             results.append(
                 {
@@ -193,6 +166,8 @@ def _run_command(args) -> int:
             )
         base["results"] = results
         _emit(base, args.format)
+        for line in failed:
+            print(f"internal check failed: {line}", file=sys.stderr)
         return EXIT_INTERNAL if failed else EXIT_OK
 
     raise InputError(f"unknown command {args.command!r}")
@@ -225,7 +200,7 @@ def _parse_e(args, quiver):
     if args.command in ("check", "tube"):
         raise InputError(
             f"--e does not apply to {args.command}, which needs every dimension vector; "
-            "it applies to census, transverse and chi"
+            "it applies to census and chi"
         )
     try:
         e = tuple(int(x) for x in args.e.split(","))

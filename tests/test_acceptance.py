@@ -18,7 +18,7 @@ from qgrass import (
     census,
     compare_transverse_loci,
     compute_euler_data,
-    counting_polynomial,
+    counting_polynomials,
     coxeter_apply,
     defect,
     enumerate_subreps,
@@ -134,12 +134,12 @@ def test_criterion_5_rigid_preprojective():
 def test_criterion_6_counting_polynomials():
     start = time.monotonic()
     _, rep1 = builtin_rep("a21-ex1")
-    poly1 = counting_polynomial(rep1, (0, 2, 1), [2, 3])
+    poly1 = counting_polynomials(rep1, [2, 3], (0, 2, 1))[(0, 2, 1)]
     assert poly1.coefficients == (1, 1)
     assert poly1.check_sample == (5, 6)
     assert poly1.euler_characteristic == 2
     _, rep3 = builtin_rep("a21-ex3")
-    poly3 = counting_polynomial(rep3, (0, 1, 1), [2, 3])
+    poly3 = counting_polynomials(rep3, [2, 3], (0, 1, 1))[(0, 1, 1)]
     assert poly3.coefficients == (1, 2)
     assert poly3.euler_characteristic == 3
     report("criterion 6: counting polynomials", time.monotonic() - start, 30)

@@ -25,7 +25,7 @@ from qgrass import (
     brute_force_subreps,
     census,
     compare_transverse_loci,
-    counting_polynomial,
+    counting_polynomials,
     enumerate_subreps,
     euler_form,
     gaussian_binomial,
@@ -505,7 +505,7 @@ def test_point_counts_respect_duality():
 def test_counting_polynomial_example1():
     # counts 3, 4 at q = 2, 3 interpolate to q + 1; the q = 5 check sees 6
     _, rep = builtin_rep("a21-ex1")
-    poly = counting_polynomial(rep, (0, 2, 1), [2, 3])
+    poly = counting_polynomials(rep, [2, 3], (0, 2, 1))[(0, 2, 1)]
     assert poly.coefficients == (1, 1)
     assert poly.samples == ((2, 3), (3, 4))
     assert poly.check_sample == (5, 6)
@@ -520,7 +520,7 @@ def test_counting_polynomial_example1():
 
 def test_counting_polynomial_example3():
     _, rep = builtin_rep("a21-ex3")
-    poly = counting_polynomial(rep, (0, 1, 1), [2, 3])
+    poly = counting_polynomials(rep, [2, 3], (0, 1, 1))[(0, 1, 1)]
     assert poly.coefficients == (1, 2)
     assert poly.euler_characteristic == 3
     assert str(poly) == "2q + 1"
@@ -528,7 +528,7 @@ def test_counting_polynomial_example3():
 
 def test_counting_polynomial_constant_for_zero_vector():
     _, rep = builtin_rep("a21-ex3")
-    poly = counting_polynomial(rep, (0, 0, 0), [2, 3])
+    poly = counting_polynomials(rep, [2, 3], (0, 0, 0))[(0, 0, 0)]
     assert poly.coefficients == (1,)
     assert poly.degree == 0
     assert poly.euler_characteristic == 1
@@ -538,13 +538,32 @@ def test_counting_polynomial_flags_insufficient_samples():
     # a full vertex Grassmannian of planes in 4-space grows like a quartic,
     # so two samples cannot interpolate it and the check sample must object
     _, rep = builtin_rep("kronecker-reg:4")
-    with pytest.raises(CountNotPolynomialError) as info:
-        counting_polynomial(rep, (0, 2), [2, 3])
-    assert info.value.samples[0][0] == 2
-    assert info.value.check_sample[0] == 5
+    error = counting_polynomials(rep, [2, 3], (0, 2))[(0, 2)]
+    assert isinstance(error, CountNotPolynomialError)
+    assert error.samples[0][0] == 2
+    assert error.check_sample[0] == 5
     # a repeated q cannot be interpolated: the error names the samples
     with pytest.raises(InputError, match=r"samples=\[\(2, 3\), \(2, 4\)\]"):
         CountingPolynomial.from_samples([(2, 3), (2, 4)], (5, 6))
+
+
+def test_counting_polynomials_cover_every_e_from_one_walk_per_prime():
+    # every slice in all_dim_vectors order, each equal to its one-e result;
+    # one sample cannot fit the two lines, and their errors leave the rest standing
+    _, rep = builtin_rep("kronecker-reg:2")
+    polys = counting_polynomials(rep, [2])
+    assert list(polys) == all_dim_vectors(rep.dims)
+    counts = {q: point_counts(reduce_mod_p(rep, q)) for q in (2, 3)}
+    for e, poly in polys.items():
+        assert (poly.samples, poly.check_sample) == (((2, counts[2][e]),), (3, counts[3][e])), e
+        one = counting_polynomials(rep, [2], e)
+        assert list(one) == [e]
+        assert type(one[e]) is type(poly), e
+        assert (one[e].samples, one[e].check_sample) == (poly.samples, poly.check_sample), e
+    failing = [e for e, poly in polys.items() if isinstance(poly, CountNotPolynomialError)]
+    assert failing == [(0, 1), (1, 2)]
+    with pytest.raises(InputError, match="over the rationals"):
+        counting_polynomials(reduce_mod_p(rep, 2), [3])
 
 
 def test_from_samples_recovers_random_integer_polynomials():
@@ -585,8 +604,8 @@ def test_library_prime_lists_take_integer_primes_only():
     with pytest.raises(InputError, match="distinct primes"):
         compare_transverse_loci(rep, [2, 2])
     with pytest.raises(InputError, match="not an integer"):
-        counting_polynomial(rep, (0, 1, 1), [2, 3.7, 5])
+        counting_polynomials(rep, [2, 3.7, 5], (0, 1, 1))
     with pytest.raises(InputError, match="not an integer"):
-        counting_polynomial(rep, (0, 1, 1), [2, True])
+        counting_polynomials(rep, [2, True], (0, 1, 1))
     assert Field.prime(3).p == 3
-    assert counting_polynomial(rep, (0, 1, 1), [2, 3]).coefficients == (1, 2)
+    assert counting_polynomials(rep, [2, 3], (0, 1, 1))[(0, 1, 1)].coefficients == (1, 2)

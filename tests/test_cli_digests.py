@@ -35,7 +35,7 @@ BAND = "tests/inputs/a21-band-2.json"
 def command_lines() -> list[list[str]]:
     lines = [
         [command, "--builtin", name, "--q", "2,3"]
-        for command in ("census", "transverse", "tube", "check", "chi")
+        for command in ("census", "tube", "check", "chi")
         for name in [*BATTERY, "kronecker-preproj:1"]
     ]
     lines.append(["chi", "--builtin", "a21-ex1", "--e", "0,2,1"])
@@ -43,7 +43,6 @@ def command_lines() -> list[list[str]]:
     lines.append(["check", "--builtin", "a21-ex3", "--q", "2", "--format", "table"])
     lines.append(["check", "--builtin", "a21-ray:7", "--q", "2,3"])
     lines.append(["census", "--builtin", "a21-ex1", "--e", "1,2,1", "--q", "2,3"])
-    lines.append(["transverse", "--builtin", "kronecker-reg:3", "--e", "1,1", "--q", "2,3"])
     lines += [[command, "--input", BAND, "--q", "2,3,5"] for command in ("census", "check", "tube")]
     return lines
 

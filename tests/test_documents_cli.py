@@ -20,7 +20,7 @@ from qgrass import (
     read_document,
 )
 from qgrass.cli import main
-from conftest import BATTERY, PACKAGE_ROOT
+from conftest import PACKAGE_ROOT
 
 
 def run_cli(capsys, *argv):
@@ -195,7 +195,7 @@ def test_cli_census_example3(capsys):
     assert len(row["entries"]) == 5
 
 
-def test_cli_transverse_on_non_affine_quiver(capsys, tmp_path):
+def test_cli_census_on_non_affine_quiver(capsys, tmp_path):
     # the homological locus needs no affine structure at all
     doc = {
         "quiver": {
@@ -206,12 +206,13 @@ def test_cli_transverse_on_non_affine_quiver(capsys, tmp_path):
     }
     path = tmp_path / "a2.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "transverse", "--input", str(path), "--q", "2")
+    code, out, err = run_cli(capsys, "census", "--input", str(path), "--q", "2")
     assert code == 0
-    payload = json.loads(out)
-    per_e = payload["results"][0]["per_e"]
-    assert sum(row["total_points"] for row in per_e) == 3
-    assert all(row["transverse_points"] == row["total_points"] for row in per_e)
+    (result,) = json.loads(out)["results"]
+    assert result["total_points"] == result["total_transverse"] == 3
+    entries = [x for row in result["per_e"] for x in row["entries"]]
+    assert len(entries) == 3
+    assert all(x["transverse"] for x in entries)
 
 
 def test_cli_check_on_non_regular_module_is_an_input_error(capsys, tmp_path):
@@ -277,6 +278,23 @@ def test_cli_chi_flags_non_polynomial_counts(capsys):
     assert "error" in payload["results"][0]
 
 
+def test_cli_chi_says_why_it_exits_3(capsys):
+    # one line per failing slice on stderr, as check prints one per prime
+    code, out, err = run_cli(capsys, "chi", "--builtin", "kronecker-reg:2", "--q", "2")
+    assert code == 3
+    failed = [row for row in json.loads(out)["results"] if "error" in row]
+    assert [row["e"] for row in failed] == [[0, 1], [1, 2]]
+    lines = err.splitlines()
+    assert lines[:-1] == [
+        f"internal check failed: e = {tuple(row['e'])}: {row['error']}" for row in failed
+    ]
+    assert lines[0] == (
+        "internal check failed: e = (0, 1): count not polynomial on sampled range: "
+        "samples=[(2, 3)], check q=3 gave 4, interpolation gave 3"
+    )
+    assert lines[-1].startswith("chi completed in ")
+
+
 def test_cli_example_round_trip(capsys):
     code, out, err = run_cli(capsys, "example", "--builtin", "kronecker-reg:2")
     assert code == 0
@@ -338,22 +356,6 @@ def test_cli_unexpected_errors_exit_3(capsys, monkeypatch):
     assert "Traceback" in err
 
 
-@pytest.mark.parametrize("name", BATTERY)
-def test_cli_transverse_agrees_with_census(capsys, name):
-    _, out, _ = run_cli(capsys, "transverse", "--builtin", name, "--q", "2,3")
-    transverse = json.loads(out)["results"]
-    _, out, _ = run_cli(capsys, "census", "--builtin", name, "--q", "2,3")
-    full = json.loads(out)["results"]
-    assert [r["q"] for r in transverse] == [r["q"] for r in full] == [2, 3]
-    for t_result, c_result in zip(transverse, full):
-        assert [row["e"] for row in t_result["per_e"]] == [row["e"] for row in c_result["per_e"]]
-        for t_row, c_row in zip(t_result["per_e"], c_result["per_e"]):
-            assert t_row["total_points"] == c_row["total_points"], (name, t_row["e"])
-            assert t_row["transverse_points"] == c_row["transverse_points"], (name, t_row["e"])
-            kept = [x["point"] for x in c_row["entries"] if x["transverse"]]
-            assert t_row["points"] == kept, (name, t_row["e"])
-
-
 def test_cli_checks_prime_lists_like_the_library(capsys):
     # the CLI parses ints and leaves every other check to the library's
     _, rep = parse_document(emit_builtin("a21-ex3"))
@@ -375,7 +377,7 @@ def test_cli_full_census_commands_reject_e(capsys, command):
     assert f"--e does not apply to {command}" in err
 
 
-@pytest.mark.parametrize("command", ["census", "transverse", "chi"])
+@pytest.mark.parametrize("command", ["census", "chi"])
 def test_cli_empty_e_is_an_input_error(capsys, command):
     # an explicit empty vector is not every e
     code, out, err = run_cli(capsys, command, "--builtin", "a21-ex3", "--q", "2", "--e", "")
@@ -388,6 +390,13 @@ def test_cli_has_no_all_e_flag(capsys):
     code, out, err = run_cli(capsys, "census", "--builtin", "a21-ex3", "--q", "2", "--all-e")
     assert (code, out) == (2, "")
     assert "unrecognized arguments: --all-e" in err
+
+
+def test_cli_has_no_transverse_command(capsys):
+    # census reports the homological locus: per_e[].transverse_points, entries[].transverse
+    code, out, err = run_cli(capsys, "transverse", "--builtin", "a21-ex3", "--q", "2")
+    assert (code, out) == (2, "")
+    assert "invalid choice: 'transverse'" in err
 
 
 def test_cli_tube_and_check_give_one_error_off_affine_quivers(capsys, tmp_path):

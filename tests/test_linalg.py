@@ -18,7 +18,7 @@ from qgrass import (
     kernel_basis,
     rref,
 )
-from qgrass.linalg import _subspaces_cached, subspaces_containing, subspaces_meeting
+from qgrass.linalg import _rref_rows, _subspaces_cached, subspaces_containing, subspaces_meeting
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -91,6 +91,43 @@ def test_rank_nullity_on_random_matrices():
             ker = kernel_basis(m)
             for r in range(ker.rows):
                 assert all(x == 0 for x in m.apply(ker.row(r)))
+
+
+def _rank_oracle_shapes(rng):
+    """(rows, cols, entries) over Z: empty, zero, tall, wide, square and
+    rank-deficient products A·B through an inner dimension k < min(rows, cols)."""
+    for rows, cols in ((0, 0), (0, 4), (4, 0)):
+        yield rows, cols, [[0] * cols for _ in range(rows)]
+    for rows, cols in ((1, 1), (3, 3), (5, 2)):
+        yield rows, cols, [[0] * cols for _ in range(rows)]
+    for _ in range(12):
+        for rows, cols in ((rng.randint(5, 9), rng.randint(1, 4)),
+                           (rng.randint(1, 4), rng.randint(5, 9)),
+                           (rng.randint(1, 7),) * 2):
+            yield rows, cols, [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(rows)]
+            k = rng.randrange(min(rows, cols))
+            a = [[rng.randrange(-9, 10) for _ in range(k)] for _ in range(rows)]
+            b = [[rng.randrange(-9, 10) for _ in range(cols)] for _ in range(k)]
+            yield rows, cols, [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+                               if k else [0] * cols for row in a]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_rank_matches_sympy_over_prime_fields(p):
+    # every tangent datum is one _rref_rows rank; sympy's GF(p) rank is the oracle
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    field, domain = Field.prime(p), GF(p)
+    rng = random.Random(100 + p)
+    for rows, cols, entries in _rank_oracle_shapes(rng):
+        reduced = [[x % p for x in row] for row in entries]
+        expected = DomainMatrix(
+            [[domain(x) for x in row] for row in reduced], (rows, cols), domain
+        ).rank()
+        assert len(_rref_rows([row[:] for row in reduced], cols, field)) == expected, entries
+        m = Matrix(field, rows, cols, [x for row in reduced for x in row])
+        assert rref(m).rank == expected, entries
 
 
 def test_kernel_of_jordan_block_is_first_axis():
