@@ -7,11 +7,15 @@ in topological order, so when V_j is chosen every in-arrow source is already
 fixed, and the walk lists only the subspaces that contain their images.
 
 Each point N gets its homological data dim Hom(N, M/N) and dim Ext^1(N, M/N)
-from one rank (reps.tangent_dims), without building N or M/N;
-ext = 0 marks N as homologically transverse, and hom is the tangent-space
-dimension of the Grassmannian at N.  Point counts across several primes
-interpolate exactly over Q, in Newton form, to a counting polynomial whose
-value at q = 1 is the Euler characteristic.
+from the rank of Delta (reps.hom_ext's map for N and M/N), without building
+N or M/N.  Delta's rows for the arrows into a vertex depend only on the
+spaces at their ends, so the census walk writes them once per tree node,
+when it chooses that vertex's space, and carries their elimination down the
+tree; a leaf only reads the rank.  ext = 0 marks N as homologically
+transverse, and hom is the tangent-space dimension of the Grassmannian at
+N.  Point counts across several primes interpolate exactly over Q, in
+Newton form, to a counting polynomial whose value at q = 1 is the Euler
+characteristic.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .linalg import (
     subspaces_containing,
     subspaces_meeting,
 )
-from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient, tangent_dims
+from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient
 
 
 @dataclass(frozen=True)
@@ -132,7 +136,11 @@ def _required_span(field: Field, in_arrows, chosen) -> tuple[list[list], tuple]:
 
     A subspace V_j satisfies every arrow into j exactly when it contains W.
     """
-    rows = [mat.apply(chosen[i].matrix.row(r)) for i, mat in in_arrows for r in range(chosen[i].dim)]
+    return _span(field, [mat.apply(chosen[i].matrix.row(r)) for i, mat in in_arrows for r in range(chosen[i].dim)])
+
+
+def _span(field: Field, rows) -> tuple[list[list], tuple]:
+    """RREF rows and pivot columns of the span of rows."""
     if not rows:
         return [], ()
     reduced = rref(Matrix.from_rows(field, rows))
@@ -241,21 +249,134 @@ def census(m: Representation, e=None) -> dict:
     all_dim_vectors order for e = None, maps to its CensusEntry list in
     walk order, empty slices included.
 
-    Every point's hom and ext come from tangent_dims.  At the first point of
-    each nonempty slice they must equal hom_ext(*sub_quotient(m, spaces)), or
-    InternalCheckError is raised."""
-    complete = e is None
-    targets = all_dim_vectors(m.dims) if complete else [m.quiver.check_dim_vector(e)]
+    The points come from one walk of the subrepresentation tree, in
+    enumerate_subreps order, and each point's hom and ext from the rank of
+    Delta that the walk carries down to it (_census_from).  At the first
+    point of each nonempty slice they must equal
+    hom_ext(*sub_quotient(m, spaces)), or InternalCheckError is raised."""
+    targets, ranges, order, in_arrows = _walk_plan(m, e)
     entries_by_e: dict = {target: [] for target in targets}
-    for point in enumerate_subreps(m, e):
-        he = tangent_dims(m, point.spaces)
-        entries = entries_by_e[point.dim_vector]
-        if not entries and he != hom_ext(*sub_quotient(m, point.spaces)):
-            raise InternalCheckError(f"tangent_dims disagrees with hom_ext at e = {point.dim_vector}")
-        entries.append(CensusEntry(point=point, hom_dim=he.hom_dim, ext_dim=he.ext_dim))
-    if complete and not (len(entries_by_e[(0,) * m.quiver.n]) == len(entries_by_e[m.dims]) == 1):
+    n = m.quiver.n
+    # a module-level recursion, not a closure calling itself: that would be
+    # a reference cycle, freed only by the cyclic collector
+    _census_from(
+        0, m, order, in_arrows, ranges, [None] * n, [0] * n, [0] * n,
+        {t: t for t in targets}, entries_by_e, {}, 0, 0,
+    )
+    if e is None and not (len(entries_by_e[(0,) * n]) == len(entries_by_e[m.dims]) == 1):
         raise InternalCheckError("a full census needs exactly one point at e = 0 and one at e = dims")
     return entries_by_e
+
+
+def _census_from(pos, m, order, in_arrows, ranges, chosen, e, offset, shared, out, echelon, cols, rows):
+    """Append to out the CensusEntry of every point that extends the spaces
+    chosen at order[:pos], as _subreps_from lists them.
+
+    Delta's domain is laid out block by block in topological order, block
+    f_v in Mat((d - e)_v x e_v) from column offset[v] on, so the path so far
+    has written cols columns and rows rows of Delta.  echelon maps each
+    pivot column to its row (see _reduce_into); a depth removes the pivots
+    it added before the walk moves on, so a leaf reads the rank of its own
+    Delta as len(echelon).
+    """
+    if pos == len(order):
+        rank = len(echelon)
+        point = SubrepPoint(spaces=tuple(chosen), dim_vector=shared[tuple(e)])
+        entries = out[point.dim_vector]
+        if not entries and (cols - rank, rows - rank) != hom_ext(*sub_quotient(m, point.spaces)):
+            raise InternalCheckError(f"tangent data disagrees with hom_ext at e = {point.dim_vector}")
+        entries.append(CensusEntry(point=point, hom_dim=cols - rank, ext_dim=rows - rank))
+        return
+    j = order[pos]
+    # the images M_a b of N_i's rows, per arrow a: i -> j, span W as in
+    # _required_span and give the sub blocks of Delta's rows
+    images = [[mat.apply(chosen[i].matrix.row(r)) for r in range(chosen[i].dim)] for i, mat in in_arrows[j]]
+    reqs, pivots = _span(m.field, [v for per_arrow in images for v in per_arrow])
+    p, d = m.field.p, m.dims[j]
+    offset[j] = cols
+    # per arrow a: i -> j, what its rows need from N_i: where f_i starts,
+    # e_i, the images of N_i's rows, and M_a's columns at N_i's non-pivots
+    arrows = []
+    for (i, mat), per_arrow in zip(in_arrows[j], images):
+        space = chosen[i]
+        free = [mat.entries[c :: mat.cols] for c in range(space.ambient_dim) if c not in space.pivots]
+        arrows.append((offset[i], space.dim, per_arrow, free))
+    for k in ranges[j]:
+        if k < len(reqs):
+            continue
+        e[j] = k
+        width = cols + (d - k) * k
+        for cand in subspaces_containing(d, k, p, reqs, pivots):
+            chosen[j] = shared.setdefault((cand.ambient_dim, cand.matrix.entries), cand)
+            new_rows = _delta_rows(p, cand, cols, width, arrows)
+            added = _reduce_into(echelon, new_rows, p)
+            _census_from(
+                pos + 1, m, order, in_arrows, ranges, chosen, e, offset, shared, out,
+                echelon, width, rows + len(new_rows),
+            )
+            for c in added:
+                del echelon[c]
+    chosen[j] = None
+
+
+def _delta_rows(p, space, start, width, arrows) -> list[list]:
+    """Delta's rows for the arrows a: i -> j into j, with N_j = space and
+    f_j's block starting at column start; every row has width columns.
+
+    The row of a at (r, c), r < (d - e)_j and c < e_i, is the derivative of
+    (f_j . S_a - Q_a . f_i)[r][c], as in reps.hom_ext for Delta(N, M/N):
+    column c of the sub block S_a (the coordinates of M_a b_c in N_j's
+    rows) in row r of f_j, and row r of -Q_a (M_a's columns at N_i's
+    non-pivots, modulo N_j, at N_j's non-pivots) in column c of f_i.
+    """
+    e_j = space.dim
+    nonpivots = [t for t in range(space.ambient_dim) if t not in space.pivots]
+    out = []
+    for start_i, e_i, images, free in arrows:
+        if not (nonpivots and e_i):
+            continue
+        sub_cols = [[v[t] for t in space.pivots] for v in images]
+        residuals = [space.reduce_vector(col) for col in free]
+        stop_i = start_i + len(free) * e_i
+        for r, t in enumerate(nonpivots):
+            minus_quot_row = [-v[t] % p for v in residuals]
+            at = start + r * e_j
+            for c, col in enumerate(sub_cols):
+                row = [0] * width
+                row[at : at + e_j] = col
+                row[start_i + c : stop_i : e_i] = minus_quot_row
+                out.append(row)
+    return out
+
+
+def _reduce_into(echelon: dict, rows, p) -> list:
+    """Add to echelon the rows that are independent of it, and return their
+    pivots in the order they were added.
+
+    echelon maps a pivot column to a row that is 0 before it and 1 at it;
+    its rows may be shorter than the new ones, with zeros past their end.
+    Each row is reduced in place at its leading column while that is a
+    pivot; a stored row is 0 before its pivot, so the leading column only
+    moves right.  A row that ends up with a new pivot is stored, scaled to
+    1 there, so the caller hands over rows it no longer needs.
+    """
+    added = []
+    for v in rows:
+        n, c = len(v), 0
+        while True:
+            while c < n and not v[c]:
+                c += 1
+            if c == n:
+                break
+            u = echelon.get(c)
+            if u is None:
+                g = pow(v[c], -1, p)
+                echelon[c] = [x * g % p for x in v] if g != 1 else v
+                added.append(c)
+                break
+            g, stop = v[c], len(u)
+            v[c:stop] = [(x - g * y) % p for x, y in zip(v[c:stop], u[c:stop])]
+    return added
 
 
 @dataclass(frozen=True)

@@ -15,12 +15,11 @@ call catches a mis-sized Delta, never a wrong entry.
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 from .errors import InputError, InternalCheckError
 from .fields import Field
-from .linalg import Matrix, SubspaceBasis, _rref_rows, rref
+from .linalg import Matrix, SubspaceBasis, rref
 from .quiver import Quiver, euler_form
 
 
@@ -154,9 +153,10 @@ def sub_quotient(m: Representation, spaces) -> tuple[Representation, Representat
     idx = quiver.vertex_index
     sub_dims = tuple(s.dim for s in spaces)
     quot_dims = tuple(d - s.dim for d, s in zip(m.dims, spaces))
-    nonpivots = [
-        [c for c in range(s.ambient_dim) if c not in set(s.pivots)] for s in spaces
-    ]
+    nonpivots = []
+    for s in spaces:
+        pivots = set(s.pivots)
+        nonpivots.append([c for c in range(s.ambient_dim) if c not in pivots])
 
     sub_mats = {}
     quot_mats = {}
@@ -179,42 +179,6 @@ def sub_quotient(m: Representation, spaces) -> tuple[Representation, Representat
     sub = Representation(quiver, field, sub_dims, sub_mats)
     quot = Representation(quiver, field, quot_dims, quot_mats)
     return sub, quot
-
-
-def tangent_dims(m: Representation, spaces) -> HomExtResult:
-    """hom_ext(*sub_quotient(m, spaces)) from one rank, building no
-    Representation: Delta's rows, in hom_ext's coordinates f_i in
-    Mat((d - e)_i x e_i), are written straight from sub_quotient's blocks.
-    """
-    spaces = _check_spaces(m, spaces)
-    field, idx = m.field, m.quiver.vertex_index
-    sub = [s.dim for s in spaces]
-    quot = [d - e for d, e in zip(m.dims, sub)]
-    offset = [0, *accumulate(q * e for q, e in zip(quot, sub))]
-    nonpivots = [[c for c in range(s.ambient_dim) if c not in s.pivots] for s in spaces]
-    rows = []  # one per coordinate of the codomain
-    for a in m.quiver.arrows:
-        i, j = idx[a.source], idx[a.target]
-        mat, si, sj = m.matrices[a.name], spaces[i], spaces[j]
-        images = [mat.apply(si.matrix.row(r)) for r in range(si.dim)]
-        if any(any(sj.reduce_vector(v)) for v in images):
-            raise InputError("the given spaces are not a subrepresentation")
-        if not (quot[j] and sub[i]):
-            continue
-        # column c of the sub block, and the columns of the quotient block
-        sub_cols = [[v[t] for t in sj.pivots] for v in images]
-        residuals = [sj.reduce_vector(mat.entries[c :: mat.cols]) for c in nonpivots[i]]
-        oi, oj, ei, ej = offset[i], offset[j], sub[i], sub[j]
-        for r, t in enumerate(nonpivots[j]):
-            minus_quot_row = [field.neg(v[t]) for v in residuals]
-            for c, col in enumerate(sub_cols):
-                row = [field.zero] * offset[-1]
-                # d/d f_j[r][k] of (f_j . S_a)[r][c], then of -(Q_a . f_i)[r][c]
-                row[oj + r * ej : oj + (r + 1) * ej] = col
-                row[oi + c : oi + quot[i] * ei : ei] = minus_quot_row
-                rows.append(row)
-    rank = len(_rref_rows(rows, offset[-1], field))
-    return HomExtResult(offset[-1] - rank, len(rows) - rank)
 
 
 def reduce_mod_p(m: Representation, p: int) -> Representation:

@@ -17,6 +17,7 @@ from qgrass import (
     HomExtResult,
     InputError,
     InternalCheckError,
+    Matrix,
     Quiver,
     Representation,
     SubrepPoint,
@@ -34,9 +35,9 @@ from qgrass import (
     is_subrep,
     point_counts,
     reduce_mod_p,
+    rref,
     sub_quotient,
 )
-from qgrass.reps import tangent_dims
 from conftest import BATTERY, PACKAGE_ROOT, builtin_rep, rep_from_ints, twist
 
 F2 = Field.prime(2)
@@ -351,20 +352,85 @@ def test_point_counts_match_brute_force_on_random_representations(m):
 
 @on_random_reps
 def test_tangent_dims_match_sub_quotient_and_hom_ext_on_random_representations(m):
-    for point in enumerate_subreps(m):
-        fast = tangent_dims(m, point.spaces)
-        assert fast == hom_ext(*sub_quotient(m, point.spaces)), (m.dims, point.dim_vector)
+    # the census's hom and ext, read off the Delta it carries down the walk,
+    # against the oracle at every point
+    for entries in census(m).values():
+        for entry in entries:
+            fast = HomExtResult(entry.hom_dim, entry.ext_dim)
+            assert fast == hom_ext(*sub_quotient(m, entry.point.spaces)), (m.dims, entry.point.dim_vector)
+
+
+def test_census_on_quivers_listed_out_of_topological_order():
+    # Delta's blocks follow the topological order while every f_v is found
+    # by vertex index, so the census must not assume the vertex list is
+    # topologically sorted
+    rng = random.Random(5)
+    shapes = [
+        (["3", "1", "2"], [("a12", "1", "2"), ("a23", "2", "3"), ("a13", "1", "3")]),
+        (["4", "3", "2", "1"], [("a", "1", "3"), ("b", "2", "3"), ("c", "3", "4")]),
+        (["c", "a", "b"], [("x", "b", "a"), ("y", "a", "c"), ("z", "b", "c")]),
+    ]
+    for vertices, arrows in shapes:
+        quiver = Quiver(vertices, arrows)
+        assert list(quiver.topological_order) != vertices
+        idx = quiver.vertex_index
+        for q in (2, 3):
+            for _ in range(4):
+                dims = [rng.randint(1, 3) for _ in vertices]
+                matrices = {
+                    name: [[rng.randrange(q) for _ in range(dims[idx[s]])] for _ in range(dims[idx[t]])]
+                    for name, s, t in arrows
+                }
+                m = rep_from_ints(quiver, Field.prime(q), dims, matrices)
+                for entries in census(m).values():
+                    for entry in entries:
+                        fast = HomExtResult(entry.hom_dim, entry.ext_dim)
+                        assert fast == hom_ext(*sub_quotient(m, entry.point.spaces)), (vertices, dims, entry.point)
+
+
+def test_echelon_rows_are_added_and_undone_as_the_walk_does():
+    # the census adds Delta's rows depth by depth, each depth's rows at least
+    # as wide as the last, and removes a depth's pivots on backtrack: the
+    # rank must be rref's at every depth, and each undo restores the state
+    module = importlib.import_module("qgrass.census")
+    rng = random.Random(13)
+    for p in (2, 3, 5, 7):
+        field = Field.prime(p)
+        for _ in range(40):
+            echelon, width, written, path = {}, 0, [], []
+            for _ in range(rng.randint(1, 4)):
+                width += rng.randint(0, 4)
+                batch = [[rng.randrange(p) if rng.random() < 0.5 else 0 for _ in range(width)]
+                         for _ in range(rng.randint(0, 4))]
+                if written and batch:  # a row that depends on earlier ones
+                    g, old = rng.randrange(1, p), written[-1] + [0] * (width - len(written[-1]))
+                    batch.append([(g * x + y) % p for x, y in zip(old, batch[0])])
+                before = dict(echelon)
+                path.append((before, module._reduce_into(echelon, [list(row) for row in batch], p)))
+                written = [row + [0] * (width - len(row)) for row in written + batch]
+                expected = rref(Matrix.from_rows(field, written)).rank if written and width else 0
+                assert len(echelon) == expected, (p, width, written)
+            for before, added in reversed(path):
+                for c in added:
+                    del echelon[c]
+                assert echelon == before
 
 
 def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
+    # one walk plan, so one walk, per census call; the census has its own
+    # recursion and never lists the points through enumerate_subreps
     module = importlib.import_module("qgrass.census")
-    walk, calls = module.enumerate_subreps, []
+    plan, calls = module._walk_plan, []
 
-    def counted(m, e=None):
+    def counted(m, e):
         calls.append(e)
-        return walk(m, e)
+        return plan(m, e)
 
-    monkeypatch.setattr(module, "enumerate_subreps", counted)
+    def second_walk(m, e=None):
+        raise AssertionError("census walked the tree through enumerate_subreps")
+
+    monkeypatch.setattr(module, "_walk_plan", counted)
+    monkeypatch.setattr(module, "enumerate_subreps", second_walk)
     _, rep = modp("a21-ex3", 3)
     full = census(rep)
     assert calls == [None]
@@ -379,16 +445,17 @@ def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
 
 
 def test_census_checks_tangent_dims_against_hom_ext(monkeypatch):
+    # an oracle one off at every point must stop the census at its first slice
     module = importlib.import_module("qgrass.census")
-    real = module.tangent_dims
+    real = module.hom_ext
 
-    def off_by_one(m, spaces):
-        hom, ext = real(m, spaces)
+    def off_by_one(n, quot):
+        hom, ext = real(n, quot)
         return HomExtResult(hom + 1, ext + 1)
 
-    monkeypatch.setattr(module, "tangent_dims", off_by_one)
+    monkeypatch.setattr(module, "hom_ext", off_by_one)
     _, rep = modp("kronecker-reg:1", 2)
-    with pytest.raises(InternalCheckError, match=r"tangent_dims disagrees with hom_ext at e = \(0, 0\)"):
+    with pytest.raises(InternalCheckError, match=r"tangent data disagrees with hom_ext at e = \(0, 0\)"):
         census(rep)
 
 
@@ -400,8 +467,8 @@ def test_census_check_of_tangent_dims_survives_optimize():
     script = (
         "import importlib, sys, qgrass.cli\n"
         "module = importlib.import_module('qgrass.census')\n"
-        "real = module.tangent_dims\n"
-        "module.tangent_dims = lambda m, s: qgrass.HomExtResult(*(x + 1 for x in real(m, s)))\n"
+        "real = module.hom_ext\n"
+        "module.hom_ext = lambda n, quot: qgrass.HomExtResult(*(x + 1 for x in real(n, quot)))\n"
         "sys.exit(qgrass.cli.main(['census', '--builtin', 'kronecker-reg:1', '--q', '2']))\n"
     )
     proc = subprocess.run(
@@ -412,12 +479,12 @@ def test_census_check_of_tangent_dims_survives_optimize():
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
-    assert "tangent_dims disagrees with hom_ext" in proc.stderr
+    assert "tangent data disagrees with hom_ext at e = (0, 0)" in proc.stderr
 
 
 def test_census_builds_modules_only_to_check_one_point_per_slice(monkeypatch):
-    # tangent_dims builds no Representation; sub_quotient builds N and M/N
-    # at the first point of each nonempty slice, for the check
+    # the census's Delta builds no Representation; sub_quotient builds N and
+    # M/N at the first point of each nonempty slice, for the check
     module = importlib.import_module("qgrass.census")
     split, init = module.sub_quotient, Representation.__init__
     splits, inits = [], []

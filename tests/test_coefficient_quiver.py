@@ -32,7 +32,6 @@ from qgrass import (
     transverse_combinatorial,
 )
 from qgrass.cli import main
-from qgrass.reps import tangent_dims
 from conftest import coefficient_quiver
 
 
@@ -111,13 +110,3 @@ def test_theorem_on_torus_fixed_points_over_q(name, fixed, excluded):
         ext = hom_ext(*sub_quotient(m, point.spaces)).ext_dim
         assert locus.contains(point) == (ext == 0), point
     assert (len(points), sum(not locus.contains(p) for p in points)) == (fixed, excluded)
-
-
-@pytest.mark.parametrize("name", ["a21-ex3", "kronecker-reg:4"])
-def test_tangent_dims_match_sub_quotient_and_hom_ext_over_q(name):
-    # the census's rank-only path over Fractions, at every torus-fixed point
-    doc = emit_builtin(name)
-    quiver, m = parse_document(doc)
-    for chosen in successor_closed_subsets(doc):
-        point = coordinate_point(quiver, m.dims, chosen)
-        assert tangent_dims(m, point.spaces) == hom_ext(*sub_quotient(m, point.spaces)), point

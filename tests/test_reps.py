@@ -10,12 +10,14 @@ import pytest
 from qgrass import (
     QQ,
     Field,
+    HomExtResult,
     InputError,
     InternalCheckError,
     Matrix,
     Quiver,
     Representation,
     SubspaceBasis,
+    census,
     direct_sum,
     enumerate_subreps,
     euler_form,
@@ -25,7 +27,6 @@ from qgrass import (
     reduce_mod_p,
     sub_quotient,
 )
-from qgrass.reps import tangent_dims
 from conftest import PACKAGE_ROOT, builtin_rep, rep_from_ints, twist
 
 F2 = Field.prime(2)
@@ -201,14 +202,6 @@ def test_sub_quotient_requires_subrep():
     assert sub_quotient(m, (first, first))[0].dims == (1, 1)
 
 
-def test_tangent_dims_requires_subrep():
-    for m, spaces in _not_subreps():
-        with pytest.raises(InputError, match="^the given spaces are not a subrepresentation$"):
-            tangent_dims(m, spaces)
-    first = SubspaceBasis.from_vectors(F2, [[1, 0]], 2)
-    assert tangent_dims(m, (first, first)) == hom_ext(*sub_quotient(m, (first, first)))
-
-
 def _walk_modules():
     """a21-ex3 and kronecker-reg:3 at q = 2, 3, each as built and twisted by a
     dense change of basis, so that quotient residuals are not 0/1."""
@@ -273,12 +266,14 @@ def test_sub_quotient_applies_m_once_per_basis_image(monkeypatch):
 
 
 def _assert_tangent_dims_match_oracle(m, label):
-    # the census's rank-only path against its oracle at every point, on m as
-    # given and on two dense twists of it
+    # the census's hom and ext, read off the Delta it carries down the walk,
+    # against the oracle at every point, on m as given and on two dense
+    # twists of it
     for module in (m, twist(m, seed=1), twist(m, seed=2)):
-        for point in enumerate_subreps(module):
-            fast = tangent_dims(module, point.spaces)
-            assert fast == hom_ext(*sub_quotient(module, point.spaces)), (label, point)
+        for entries in census(module).values():
+            for entry in entries:
+                fast = HomExtResult(entry.hom_dim, entry.ext_dim)
+                assert fast == hom_ext(*sub_quotient(module, entry.point.spaces)), (label, entry.point)
 
 
 @pytest.mark.parametrize("name", ["a21-ex3", "a21-ex1", "a21-ray:5", "kronecker-reg:3", "kronecker-preproj:2"])

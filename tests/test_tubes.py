@@ -293,33 +293,33 @@ def test_cli_tube_computes_no_tangent_data(monkeypatch):
     from qgrass.cli import main as cli_main
 
     census_module = importlib.import_module("qgrass.census")
-    real = census_module.sub_quotient
-    real_dims = census_module.tangent_dims
-    calls = []
-    dims_calls = []
+    calls = {"sub_quotient": [], "_delta_rows": [], "CensusEntry": []}
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+    def counted(name):
+        real = getattr(census_module, name)
 
-    def counted_dims(*args, **kwargs):
-        dims_calls.append(1)
-        return real_dims(*args, **kwargs)
+        def wrapper(*args, **kwargs):
+            calls[name].append(1)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(census_module, "sub_quotient", counted)
-    monkeypatch.setattr(census_module, "tangent_dims", counted_dims)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(census_module, name, counted(name))
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         assert cli_main(["tube", "--builtin", "a21-ex3", "--q", "2,3"]) == 0
-    assert calls == []
-    assert dims_calls == []
+    assert calls == {"sub_quotient": [], "_delta_rows": [], "CensusEntry": []}
     assert '"quasi_socle"' in out.getvalue()
-    # the wraps do see the census that check runs: tangent data at every point
+    # the wraps do see the census that check runs: one Delta step per tree
+    # node, and tangent data at every leaf
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert cli_main(["check", "--builtin", "a21-ex3", "--q", "2"]) == 0
-    assert calls
+    assert calls["sub_quotient"]
     _, rep = builtin_rep("a21-ex3")
-    assert len(dims_calls) == sum(point_counts(reduce_mod_p(rep, 2)).values())
+    leaves = sum(point_counts(reduce_mod_p(rep, 2)).values())
+    assert len(calls["CensusEntry"]) == leaves
+    assert len(calls["_delta_rows"]) > leaves
 
 
 def test_compare_transverse_loci_battery_members():
