@@ -9,11 +9,12 @@ fixed, and the walk lists only the subspaces that contain their images.
 Each point N gets its homological data dim Hom(N, M/N) and dim Ext^1(N, M/N)
 from the rank of Delta (reps.hom_ext's map for N and M/N), without building
 N or M/N.  Delta's rows for the arrows into a vertex depend only on the
-spaces at their ends, so the census walk writes them once per tree node,
-when it chooses that vertex's space, and carries their elimination down the
-tree; a leaf only reads the rank.  ext = 0 marks N as homologically
-transverse, and hom is the tangent-space dimension of the Grassmannian at
-N.  Point counts across several primes interpolate exactly over Q, in
+spaces at their ends, so the census replays Delta along the points of
+enumerate_subreps: each point keeps the elimination of the point before it
+up to the first vertex, in topological order, where the two differ, writes
+the rows from there on, and reads the rank.  ext = 0 marks N as
+homologically transverse, and hom is the tangent-space dimension of the
+Grassmannian at N.  Point counts across several primes interpolate exactly over Q, in
 Newton form, to a counting polynomial whose value at q = 1 is the Euler
 characteristic.
 """
@@ -72,7 +73,10 @@ def enumerate_subreps(m: Representation, e=None) -> list[SubrepPoint]:
     k-subspaces of M_j that contain W, the span of the in-arrow images, in
     SubspaceBasis.sort_key order.  So the points come out sorted by their
     per-vertex sort keys along the topological order, and each e's points
-    in the same order as enumerate_subreps(m, e).
+    in the same order as enumerate_subreps(m, e).  The walk is depth-first,
+    so the points below one tree node are consecutive, and equal spaces are
+    one object across the list, so points that share a tree node share its
+    spaces by identity; census relies on both.
     """
     targets, ranges, order, in_arrows = _walk_plan(m, e)
     out: list[SubrepPoint] = []
@@ -136,11 +140,7 @@ def _required_span(field: Field, in_arrows, chosen) -> tuple[list[list], tuple]:
 
     A subspace V_j satisfies every arrow into j exactly when it contains W.
     """
-    return _span(field, [mat.apply(chosen[i].matrix.row(r)) for i, mat in in_arrows for r in range(chosen[i].dim)])
-
-
-def _span(field: Field, rows) -> tuple[list[list], tuple]:
-    """RREF rows and pivot columns of the span of rows."""
+    rows = [mat.apply(chosen[i].matrix.row(r)) for i, mat in in_arrows for r in range(chosen[i].dim)]
     if not rows:
         return [], ()
     reduced = rref(Matrix.from_rows(field, rows))
@@ -249,74 +249,64 @@ def census(m: Representation, e=None) -> dict:
     all_dim_vectors order for e = None, maps to its CensusEntry list in
     walk order, empty slices included.
 
-    The points come from one walk of the subrepresentation tree, in
-    enumerate_subreps order, and each point's hom and ext from the rank of
-    Delta that the walk carries down to it (_census_from).  At the first
-    point of each nonempty slice they must equal
-    hom_ext(*sub_quotient(m, spaces)), or InternalCheckError is raised."""
-    targets, ranges, order, in_arrows = _walk_plan(m, e)
-    entries_by_e: dict = {target: [] for target in targets}
-    n = m.quiver.n
-    # a module-level recursion, not a closure calling itself: that would be
-    # a reference cycle, freed only by the cyclic collector
-    _census_from(
-        0, m, order, in_arrows, ranges, [None] * n, [0] * n, [0] * n,
-        {t: t for t in targets}, entries_by_e, {}, 0, 0,
-    )
-    if e is None and not (len(entries_by_e[(0,) * n]) == len(entries_by_e[m.dims]) == 1):
-        raise InternalCheckError("a full census needs exactly one point at e = 0 and one at e = dims")
-    return entries_by_e
-
-
-def _census_from(pos, m, order, in_arrows, ranges, chosen, e, offset, shared, out, echelon, cols, rows):
-    """Append to out the CensusEntry of every point that extends the spaces
-    chosen at order[:pos], as _subreps_from lists them.
+    The points are enumerate_subreps(m, e), and each point's hom and ext
+    come from the rank of Delta, replayed along that list: a point keeps
+    the echelon rows of the point before it up to the first position in
+    topological order where their spaces differ, and writes Delta's rows
+    from there on, so they are written once per tree node.  At the first
+    point of each nonempty slice hom and ext must equal
+    hom_ext(*sub_quotient(m, spaces)), or InternalCheckError is raised.
 
     Delta's domain is laid out block by block in topological order, block
-    f_v in Mat((d - e)_v x e_v) from column offset[v] on, so the path so far
-    has written cols columns and rows rows of Delta.  echelon maps each
-    pivot column to its row (see _reduce_into); a depth removes the pivots
-    it added before the walk moves on, so a leaf reads the rank of its own
-    Delta as len(echelon).
+    f_v in Mat((d - e)_v x e_v) from column offset[v] on.  echelon maps
+    each pivot column to its row (see _reduce_into), so a point reads the
+    rank of its own Delta as len(echelon).
     """
-    if pos == len(order):
-        rank = len(echelon)
-        point = SubrepPoint(spaces=tuple(chosen), dim_vector=shared[tuple(e)])
-        entries = out[point.dim_vector]
-        if not entries and (cols - rank, rows - rank) != hom_ext(*sub_quotient(m, point.spaces)):
-            raise InternalCheckError(f"tangent data disagrees with hom_ext at e = {point.dim_vector}")
-        entries.append(CensusEntry(point=point, hom_dim=cols - rank, ext_dim=rows - rank))
-        return
-    j = order[pos]
-    # the images M_a b of N_i's rows, per arrow a: i -> j, span W as in
-    # _required_span and give the sub blocks of Delta's rows
-    images = [[mat.apply(chosen[i].matrix.row(r)) for r in range(chosen[i].dim)] for i, mat in in_arrows[j]]
-    reqs, pivots = _span(m.field, [v for per_arrow in images for v in per_arrow])
-    p, d = m.field.p, m.dims[j]
-    offset[j] = cols
-    # per arrow a: i -> j, what its rows need from N_i: where f_i starts,
-    # e_i, the images of N_i's rows, and M_a's columns at N_i's non-pivots
-    arrows = []
-    for (i, mat), per_arrow in zip(in_arrows[j], images):
-        space = chosen[i]
-        free = [mat.entries[c :: mat.cols] for c in range(space.ambient_dim) if c not in space.pivots]
-        arrows.append((offset[i], space.dim, per_arrow, free))
-    for k in ranges[j]:
-        if k < len(reqs):
-            continue
-        e[j] = k
-        width = cols + (d - k) * k
-        for cand in subspaces_containing(d, k, p, reqs, pivots):
-            chosen[j] = shared.setdefault((cand.ambient_dim, cand.matrix.entries), cand)
-            new_rows = _delta_rows(p, cand, cols, width, arrows)
-            added = _reduce_into(echelon, new_rows, p)
-            _census_from(
-                pos + 1, m, order, in_arrows, ranges, chosen, e, offset, shared, out,
-                echelon, width, rows + len(new_rows),
-            )
-            for c in added:
+    targets, _, order, in_arrows = _walk_plan(m, e)
+    entries_by_e: dict = {target: [] for target in targets}
+    p, n = m.field.p, len(order)
+    # per position in order: Delta's columns and rows written before it,
+    # the pivots it added to echelon, and per arrow a: i -> j into it what
+    # the arrow's rows need from N_i: where f_i starts, e_i, the images of
+    # N_i's rows, and M_a's columns at N_i's non-pivots
+    cols, rows = [0] * (n + 1), [0] * (n + 1)
+    added, arrows = [[] for _ in order], [[] for _ in order]
+    offset, echelon, last = [0] * m.quiver.n, {}, None
+    for point in enumerate_subreps(m, e):
+        spaces = point.spaces
+        # equal spaces are one object, so the two points share the tree
+        # nodes above start; order[0] is a source, so arrows[0] stays empty,
+        # and arrows[start] depends only on the spaces above it
+        start = 0
+        if last is not None:
+            while spaces[order[start]] is last[order[start]]:
+                start += 1
+        for pos in range(start, n):
+            for c in added[pos]:
                 del echelon[c]
-    chosen[j] = None
+        for pos in range(start, n):
+            j = order[pos]
+            space = spaces[j]
+            if pos > start:
+                arrows[pos] = []
+                for i, mat in in_arrows[j]:
+                    b = spaces[i]
+                    free = [mat.entries[c :: mat.cols] for c in range(b.ambient_dim) if c not in b.pivots]
+                    arrows[pos].append((offset[i], b.dim, [mat.apply(b.matrix.row(r)) for r in range(b.dim)], free))
+            offset[j] = cols[pos]
+            cols[pos + 1] = cols[pos] + (m.dims[j] - space.dim) * space.dim
+            new_rows = _delta_rows(p, space, cols[pos], cols[pos + 1], arrows[pos])
+            added[pos] = _reduce_into(echelon, new_rows, p)
+            rows[pos + 1] = rows[pos] + len(new_rows)
+        last = spaces
+        rank = len(echelon)
+        entries = entries_by_e[point.dim_vector]
+        if not entries and (cols[n] - rank, rows[n] - rank) != hom_ext(*sub_quotient(m, spaces)):
+            raise InternalCheckError(f"tangent data disagrees with hom_ext at e = {point.dim_vector}")
+        entries.append(CensusEntry(point=point, hom_dim=cols[n] - rank, ext_dim=rows[n] - rank))
+    if e is None and not (len(entries_by_e[(0,) * m.quiver.n]) == len(entries_by_e[m.dims]) == 1):
+        raise InternalCheckError("a full census needs exactly one point at e = 0 and one at e = dims")
+    return entries_by_e
 
 
 def _delta_rows(p, space, start, width, arrows) -> list[list]:

@@ -417,20 +417,16 @@ def test_echelon_rows_are_added_and_undone_as_the_walk_does():
 
 
 def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
-    # one walk plan, so one walk, per census call; the census has its own
-    # recursion and never lists the points through enumerate_subreps
+    # one enumerate_subreps call, so one walk, per census call; Delta is
+    # replayed along its list
     module = importlib.import_module("qgrass.census")
-    plan, calls = module._walk_plan, []
+    walk, calls = module.enumerate_subreps, []
 
-    def counted(m, e):
+    def counted(m, e=None):
         calls.append(e)
-        return plan(m, e)
+        return walk(m, e)
 
-    def second_walk(m, e=None):
-        raise AssertionError("census walked the tree through enumerate_subreps")
-
-    monkeypatch.setattr(module, "_walk_plan", counted)
-    monkeypatch.setattr(module, "enumerate_subreps", second_walk)
+    monkeypatch.setattr(module, "enumerate_subreps", counted)
     _, rep = modp("a21-ex3", 3)
     full = census(rep)
     assert calls == [None]
@@ -441,7 +437,46 @@ def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
         assert [(x.point, x.hom_dim, x.ext_dim) for x in one[e]] == [
             (x.point, x.hom_dim, x.ext_dim) for x in full[e]
         ], e
-    assert len(calls) == 1 + len(full)
+    assert calls == [None, *all_dim_vectors(rep.dims)]
+
+
+def test_census_writes_delta_rows_once_per_tree_node(monkeypatch):
+    # a replay that rebuilt every position at every point would give the
+    # same census, so count the Delta steps: one per tree node above a
+    # point, that is one per distinct nonempty prefix of the listed points
+    # along the topological order
+    module = importlib.import_module("qgrass.census")
+    real, calls = module._delta_rows, []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(module, "_delta_rows", counted)
+    rng = random.Random(7)
+    # the third quiver of test_census_on_quivers_listed_out_of_topological_order
+    arrows = [("x", "b", "a"), ("y", "a", "c"), ("z", "b", "c")]
+    quiver, dims = Quiver(["c", "a", "b"], arrows), [2, 2, 3]
+    idx = quiver.vertex_index
+    matrices = {
+        name: [[rng.randrange(3) for _ in range(dims[idx[s]])] for _ in range(dims[idx[t]])]
+        for name, s, t in arrows
+    }
+    reps = [
+        modp("a21-ex3", 3)[1],
+        modp("kronecker-reg:3", 2)[1],
+        rep_from_ints(quiver, Field.prime(3), dims, matrices),
+    ]
+    for m in reps:
+        order = [m.quiver.vertex_index[v] for v in m.quiver.topological_order]
+        prefixes = {
+            tuple(point.spaces[j] for j in order[:k])
+            for point in enumerate_subreps(m)
+            for k in range(1, len(order) + 1)
+        }
+        calls.clear()
+        census(m)
+        assert len(calls) == len(prefixes), m.dims
 
 
 def test_census_checks_tangent_dims_against_hom_ext(monkeypatch):
