@@ -295,10 +295,40 @@ def _comparison_obj(quiver, comparison) -> dict:
 
 def _emit(payload, fmt: str):
     if fmt == "json":
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(_dumps(payload))
     else:
         for line in _render_table(payload):
             print(line)
+
+
+def _dumps(obj) -> str:
+    """json's text for sort_keys=True and indent=2 (str keys), but not json's pure-Python path."""
+    scalar, key_text = json.JSONEncoder(sort_keys=True).encode, json.encoder.encode_basestring_ascii
+    chunks = []
+    put = chunks.append
+
+    def write(o, pad):  # pad is "\n" and the indent of o's own line
+        if not (isinstance(o, (dict, list, tuple)) and o):
+            return put(scalar(o))  # a scalar, {} or [], by json's C encoder
+        inner = pad + "  "
+        if isinstance(o, dict):
+            put("{" + inner)
+            for key in sorted(o):  # key_text raises TypeError on a non-str key
+                put(key_text(key) + ": ")
+                write(o[key], inner)
+                put("," + inner)
+            chunks[-1] = pad + "}"  # in place of the last separator
+        elif all(type(x) is int for x in o):  # bools are not exact ints
+            put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
+        else:
+            put("[" + inner)
+            for item in o:
+                write(item, inner)
+                put("," + inner)
+            chunks[-1] = pad + "]"
+
+    write(obj, "\n")
+    return "".join(chunks)
 
 
 def _render_table(payload, indent=0):

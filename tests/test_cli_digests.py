@@ -30,6 +30,9 @@ DIGESTS = Path(__file__).with_name("cli_digests.json")
 ROOT = Path(__file__).resolve().parent.parent
 # a band module: every built-in is a string module
 BAND = "tests/inputs/a21-band-2.json"
+# vertex names with non-ASCII, quote and backslash characters, which become
+# keys of every point's spaces
+NAMES = "tests/inputs/kronecker-names.json"
 
 
 def command_lines() -> list[list[str]]:
@@ -44,6 +47,8 @@ def command_lines() -> list[list[str]]:
     lines.append(["check", "--builtin", "a21-ray:7", "--q", "2,3"])
     lines.append(["census", "--builtin", "a21-ex1", "--e", "1,2,1", "--q", "2,3"])
     lines += [[command, "--input", BAND, "--q", "2,3,5"] for command in ("census", "check", "tube")]
+    lines += [["example", "--builtin", name] for name in ("a21-ex1", "kronecker-reg:2")]
+    lines += [[command, "--input", NAMES, "--q", "2,3"] for command in ("census", "check")]
     return lines
 
 

@@ -8,6 +8,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qgrass import (
     QQ,
@@ -19,7 +21,7 @@ from qgrass import (
     parse_document,
     read_document,
 )
-from qgrass.cli import main
+from qgrass.cli import _dumps, main
 from conftest import PACKAGE_ROOT
 
 
@@ -537,6 +539,43 @@ def test_cli_reports_are_byte_stable(capsys):
     _, third, _ = run_cli(capsys, "check", "--builtin", "kronecker-reg:2", "--q", "2")
     _, fourth, _ = run_cli(capsys, "check", "--builtin", "kronecker-reg:2", "--q", "2")
     assert third == fourth
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(),
+    lambda inner: st.lists(inner)
+    | st.lists(inner).map(tuple)
+    | st.lists(st.integers(-(2**70), 2**70))
+    | st.dictionaries(st.text(), inner),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(JSON_VALUES)
+@example([])
+@example({})
+@example({"a": [[], {}, {"b": [[[]]], "c": {}}], "d": {}})
+@example([True, 1, 0])
+@example([1, 2.0])
+@example([[], [1]])
+@example((1, 2, -(2**70)))
+@example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+@example({"\x00\n\t\"\\": "\u03b1\u2028\U0001f600\x7f", "\u03b1": None, "": False})
+def test_emit_matches_stdlib_indent(value):
+    # the report writer gives json.dumps(..., sort_keys=True, indent=2) byte for byte
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_emit_rejects_non_str_keys():
+    # json would write 1 as "1"; no report has such a key
+    for value in ({1: 2}, [{"a": {1: 2}}]):
+        with pytest.raises(TypeError):
+            _dumps(value)
 
 
 def test_cli_table_format(capsys):
