@@ -49,6 +49,22 @@ def command_lines() -> list[list[str]]:
     lines += [[command, "--input", BAND, "--q", "2,3,5"] for command in ("census", "check", "tube")]
     lines += [["example", "--builtin", name] for name in ("a21-ex1", "kronecker-reg:2")]
     lines += [[command, "--input", NAMES, "--q", "2,3"] for command in ("census", "check")]
+    # every built-in family at several sizes, both parities of the ray, and
+    # a signed suffix, which the document's name prints without its sign
+    lines += [
+        ["example", "--builtin", name]
+        for name in (
+            "a21-ray:1",
+            "a21-ray:2",
+            "a21-ray:5",
+            "a21-ray:9",
+            "kronecker-reg:1",
+            "kronecker-reg:5",
+            "kronecker-preproj:0",
+            "kronecker-preproj:3",
+            "a21-ray:+3",
+        )
+    ]
     return lines
 
 

@@ -81,6 +81,40 @@ def test_unknown_builtin_lists_names():
         assert name in str(info.value)
 
 
+VALID = "a21-ex1, a21-ex3, a21-ray:<t>, kronecker-reg:<n>, kronecker-preproj:<n>"
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("a21-ray:0", "ray quasi-length must be at least 1"),
+        ("a21-ray:-2", "ray quasi-length must be at least 1"),
+        ("kronecker-reg:0", "regular Kronecker size must be at least 1"),
+        ("kronecker-preproj:-1", "preprojective Kronecker size must be nonnegative"),
+        ("a21-ray:x", "bad numeric suffix in builtin name 'a21-ray:x'"),
+        ("nope:x", "bad numeric suffix in builtin name 'nope:x'"),
+        ("nope:1", f"unknown builtin 'nope:1'; valid names: {VALID}"),
+        ("nope", f"unknown builtin 'nope'; valid names: {VALID}"),
+        ("a21-ray", f"unknown builtin 'a21-ray'; valid names: {VALID}"),
+        (":3", f"unknown builtin ':3'; valid names: {VALID}"),
+    ],
+)
+def test_rejected_builtin_names_keep_their_text(name, message):
+    with pytest.raises(InputError) as info:
+        emit_builtin(name)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("number", ["1", "2"])
+def test_every_listed_builtin_name_is_emitted(number):
+    # the names that the "valid names" error prints are the names that emit
+    for listed in builtin_names():
+        name = listed.replace("<t>", number).replace("<n>", number)
+        doc = emit_builtin(name)
+        assert doc["metadata"]["name"] == name
+        parse_document(doc)
+
+
 def test_parse_document_keeps_every_entry():
     for name in ("a21-ex1", "a21-ex3", "kronecker-reg:3", "kronecker-preproj:2"):
         doc = emit_builtin(name)
