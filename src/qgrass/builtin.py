@@ -10,122 +10,79 @@ Names:
 
 from __future__ import annotations
 
-from copy import deepcopy
-
 from .errors import InputError
 
-_A21_QUIVER = {
-    "vertices": ["1", "2", "3"],
-    "arrows": [
-        {"id": "a12", "from": "1", "to": "2"},
-        {"id": "a23", "from": "2", "to": "3"},
-        {"id": "a13", "from": "1", "to": "3"},
-    ],
-}
-
-_KRONECKER_QUIVER = {
-    "vertices": ["1", "2"],
-    "arrows": [
-        {"id": "a", "from": "1", "to": "2"},
-        {"id": "b", "from": "1", "to": "2"},
-    ],
-}
+_KRONECKER_ARROWS = (("a", "1", "2"), ("b", "1", "2"))
 
 
-def _identity(n: int) -> list[list[str]]:
-    return [[str(int(i == j)) for j in range(n)] for i in range(n)]
+def _ones(rows: int, cols: int, shift: int = 0) -> list[list[str]]:
+    """The rows x cols 0/1 matrix, in strings, with ones at (i, i + shift)."""
+    return [[str(int(j == i + shift)) for j in range(cols)] for i in range(rows)]
 
 
-def _jordan_nilpotent(n: int) -> list[list[str]]:
-    # superdiagonal ones: e_1 -> 0, e_{k+1} -> e_k
-    return [[str(int(j == i + 1)) for j in range(n)] for i in range(n)]
+def _document(name: str, arrows, dims: dict[str, int], matrices: dict) -> dict:
+    """A fresh document: the vertices are the keys of dims, the arrows (id, from, to)."""
+    return {
+        "metadata": {"name": name},
+        "quiver": {
+            "vertices": list(dims),
+            "arrows": [{"id": a, "from": src, "to": dst} for a, src, dst in arrows],
+        },
+        "representation": {"dims": dims, "matrices": matrices},
+    }
 
 
-def _a21_ray_document(t: int) -> dict:
+def _a21_ray(t: int):
     if t < 1:
         raise InputError("ray quasi-length must be at least 1")
+    # even t: dims (s, s, s), matrices I, J(0), I; odd t: dims (s, s+1, s),
+    # an inclusion, a truncated shift and I
     s, odd = divmod(t, 2)
-    if odd:
-        # dims (s, s+1, s): inclusion, truncated shift, identity
-        dims = {"1": s, "2": s + 1, "3": s}
-        a12 = [[str(int(i == j)) for j in range(s)] for i in range(s + 1)]
-        a23 = [[str(int(j == i + 1)) for j in range(s + 1)] for i in range(s)]
-        a13 = _identity(s)
-    else:
-        dims = {"1": s, "2": s, "3": s}
-        a12 = _identity(s)
-        a23 = _jordan_nilpotent(s)
-        a13 = _identity(s)
-    return {
-        "metadata": {"name": f"a21-ray:{t}"},
-        "quiver": deepcopy(_A21_QUIVER),
-        "representation": {
-            "dims": dims,
-            "matrices": {"a12": a12, "a23": a23, "a13": a13},
-        },
-    }
+    arrows = (("a12", "1", "2"), ("a23", "2", "3"), ("a13", "1", "3"))
+    matrices = {"a12": _ones(s + odd, s), "a23": _ones(s, s + odd, 1), "a13": _ones(s, s)}
+    return arrows, {"1": s, "2": s + odd, "3": s}, matrices
 
 
-def _kronecker_regular_document(n: int) -> dict:
+def _kronecker_regular(n: int):
     if n < 1:
         raise InputError("regular Kronecker size must be at least 1")
-    return {
-        "metadata": {"name": f"kronecker-reg:{n}"},
-        "quiver": deepcopy(_KRONECKER_QUIVER),
-        "representation": {
-            "dims": {"1": n, "2": n},
-            "matrices": {"a": _identity(n), "b": _jordan_nilpotent(n)},
-        },
-    }
+    return _KRONECKER_ARROWS, {"1": n, "2": n}, {"a": _ones(n, n), "b": _ones(n, n, 1)}
 
 
-def _kronecker_preprojective_document(n: int) -> dict:
+def _kronecker_preprojective(n: int):
     if n < 0:
         raise InputError("preprojective Kronecker size must be nonnegative")
-    top = [[str(int(i == j)) for j in range(n)] for i in range(n + 1)]
-    bottom = [[str(int(i == j + 1)) for j in range(n)] for i in range(n + 1)]
-    return {
-        "metadata": {"name": f"kronecker-preproj:{n}"},
-        "quiver": deepcopy(_KRONECKER_QUIVER),
-        "representation": {
-            "dims": {"1": n, "2": n + 1},
-            "matrices": {"a": top, "b": bottom},
-        },
-    }
+    matrices = {"a": _ones(n + 1, n), "b": _ones(n + 1, n, -1)}
+    return _KRONECKER_ARROWS, {"1": n, "2": n + 1}, matrices
+
+
+# family -> (builder of its arrows, dims and matrices, placeholder of its number)
+_FAMILIES = {
+    "a21-ray": (_a21_ray, "t"),
+    "kronecker-reg": (_kronecker_regular, "n"),
+    "kronecker-preproj": (_kronecker_preprojective, "n"),
+}
+# alias -> (family, number); an alias keeps its own name
+_ALIASES = {"a21-ex1": ("a21-ray", 6), "a21-ex3": ("a21-ray", 4)}
 
 
 def builtin_names() -> list[str]:
-    return [
-        "a21-ex1",
-        "a21-ex3",
-        "a21-ray:<t>",
-        "kronecker-reg:<n>",
-        "kronecker-preproj:<n>",
-    ]
+    return [*_ALIASES, *(f"{family}:<{p}>" for family, (_, p) in _FAMILIES.items())]
 
 
 def emit_builtin(name: str) -> dict:
     """A fresh input document for a built-in module, by name; the caller may edit it."""
-    if name == "a21-ex1":
-        doc = _a21_ray_document(6)
-        doc["metadata"]["name"] = "a21-ex1"
-        return doc
-    if name == "a21-ex3":
-        doc = _a21_ray_document(4)
-        doc["metadata"]["name"] = "a21-ex3"
-        return doc
-    if ":" in name:
-        head, _, tail = name.partition(":")
+    if name in _ALIASES:
+        family, number = _ALIASES[name]
+        return _document(name, *_FAMILIES[family][0](number))
+    family, colon, tail = name.partition(":")
+    if colon:
         try:
             number = int(tail)
         except ValueError:
             raise InputError(f"bad numeric suffix in builtin name {name!r}") from None
-        if head == "a21-ray":
-            return _a21_ray_document(number)
-        if head == "kronecker-reg":
-            return _kronecker_regular_document(number)
-        if head == "kronecker-preproj":
-            return _kronecker_preprojective_document(number)
+        if family in _FAMILIES:
+            return _document(f"{family}:{number}", *_FAMILIES[family][0](number))
     raise InputError(
         f"unknown builtin {name!r}; valid names: {', '.join(builtin_names())}"
     )

@@ -39,11 +39,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"qgrass {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, needs_input=True):
-        if needs_input:
-            src = p.add_mutually_exclusive_group(required=True)
-            src.add_argument("--input", help="path to a JSON input document")
-            src.add_argument("--builtin", help="name of a built-in module")
+    def add_common(p):
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--input", help="path to a JSON input document")
+        src.add_argument("--builtin", help="name of a built-in module")
         p.add_argument("--q", default="2,3", help="comma-separated primes (default 2,3)")
         p.add_argument("--e", help="comma-separated dimension vector (default: every e <= dims)")
         p.add_argument("--format", choices=("json", "table"), default="json")

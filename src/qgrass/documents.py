@@ -105,10 +105,7 @@ def read_document(path: str) -> dict:
         raise InputError(f"{path}: cannot decode: {exc}") from exc
 
 
-def canonical_json(doc) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
 def document_digest(doc: dict) -> str:
     """Stable identity of an input document (sha256 of canonical JSON)."""
-    return hashlib.sha256(canonical_json(doc).encode("utf-8")).hexdigest()
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
