@@ -65,6 +65,9 @@ def command_lines() -> list[list[str]]:
             "a21-ray:+3",
         )
     ]
+    # the table view walks the same payload as the JSON writer
+    lines.append(["census", "--builtin", "kronecker-reg:2", "--q", "2,3", "--format", "table"])
+    lines.append(["tube", "--builtin", "a21-ex1", "--q", "2", "--format", "table"])
     return lines
 
 
