@@ -118,15 +118,16 @@ def _run_command(args) -> int:
                 results.append({"q": q, "rigid": True})
                 continue
             locus = transverse_combinatorial(rep_q, enumerate_subreps(rep_q))
+            rows = {}
             rays = [
-                {"t": t, "dims": list(point.dim_vector), "point": _point_obj(quiver, point)}
+                {"t": t, "dims": list(point.dim_vector), "point": _point_obj(quiver, point, rows)}
                 for t, point in enumerate(locus.rays[1:], 1)
             ]
             results.append(
                 {
                     "q": q,
                     "rigid": False,
-                    "quasi_socle": _point_obj(quiver, locus.rays[1]),
+                    "quasi_socle": _point_obj(quiver, locus.rays[1], rows),
                     "tube": _tube_obj(locus.tube),
                     "ray_submodules": rays,
                 }
@@ -209,13 +210,14 @@ def _parse_e(args, quiver):
 
 
 def _census_result(rep_q, q: int, e_sel) -> dict:
+    rows = {}
     per_e = [
         {
             "e": list(e),
             "total_points": len(entries),
             "transverse_points": sum(1 for x in entries if x.ext_dim == 0),
             "euler_form": euler_form(rep_q.quiver, e, tuple(d - x for d, x in zip(rep_q.dims, e))),
-            "entries": [_entry_obj(rep_q.quiver, x) for x in entries],
+            "entries": [_entry_obj(rep_q.quiver, x, rows) for x in entries],
         }
         for e, entries in census(rep_q, e_sel).items()
     ]
@@ -228,16 +230,20 @@ def _census_result(rep_q, q: int, e_sel) -> dict:
     }
 
 
-def _point_obj(quiver, point) -> dict:
+def _point_obj(quiver, point, rows: dict) -> dict:
+    """rows maps each space to its rows list, so the points that hold one
+    space (the walk interns equal spaces) share one list."""
     spaces = {}
     for v, basis in zip(quiver.vertices, point.spaces):
-        spaces[v] = [[int(x) for x in basis.matrix.row(r)] for r in range(basis.dim)]
+        if basis not in rows:
+            rows[basis] = [[int(x) for x in basis.matrix.row(r)] for r in range(basis.dim)]
+        spaces[v] = rows[basis]
     return {"dim_vector": list(point.dim_vector), "spaces": spaces}
 
 
-def _entry_obj(quiver, entry) -> dict:
+def _entry_obj(quiver, entry, rows: dict) -> dict:
     return {
-        "point": _point_obj(quiver, entry.point),
+        "point": _point_obj(quiver, entry.point, rows),
         "hom_dim": entry.hom_dim,
         "ext_dim": entry.ext_dim,
         "transverse": entry.ext_dim == 0,
@@ -257,7 +263,7 @@ def _tube_obj(tube) -> dict:
 
 
 def _comparison_obj(quiver, comparison) -> dict:
-    per_field = []
+    per_field, rows = [], {}
     for fc in comparison.per_field:
         obj = {"q": fc.q, "rigid": fc.rigid, "verdict": fc.verdict}
         if fc.error:
@@ -281,7 +287,7 @@ def _comparison_obj(quiver, comparison) -> dict:
             {
                 "q": ce.q,
                 "e": list(ce.e),
-                "point": _point_obj(quiver, ce.point),
+                "point": _point_obj(quiver, ce.point, rows),
                 "ext_dim": ce.ext_dim,
                 "contains_lower": None if ce.comb_flags is None else ce.comb_flags[0],
                 "contained_in_upper": None if ce.comb_flags is None else ce.comb_flags[1],
@@ -301,12 +307,20 @@ def _emit(payload, fmt: str):
 
 
 def _dumps(obj) -> str:
-    """json's text for sort_keys=True and indent=2 (str keys), but not json's pure-Python path."""
+    """json's text for sort_keys=True and indent=2 (str keys), but not json's pure-Python path.
+
+    A rows list (a list of int lists) that obj holds more than once is
+    written once per indent: its text is kept by its identity and indent,
+    which is sound because obj keeps every such list alive and unchanged
+    while it is written.  No other container's text is kept.
+    """
     scalar, key_text = json.JSONEncoder(sort_keys=True).encode, json.encoder.encode_basestring_ascii
-    chunks = []
+    chunks, shared = [], {}
     put = chunks.append
 
     def write(o, pad):  # pad is "\n" and the indent of o's own line
+        if type(o) is int:  # bools are not exact ints
+            return put(int.__repr__(o))
         if not (isinstance(o, (dict, list, tuple)) and o):
             return put(scalar(o))  # a scalar, {} or [], by json's C encoder
         inner = pad + "  "
@@ -319,12 +333,17 @@ def _dumps(obj) -> str:
             chunks[-1] = pad + "}"  # in place of the last separator
         elif all(type(x) is int for x in o):  # bools are not exact ints
             put("[" + inner + ("," + inner).join(map(int.__repr__, o)) + pad + "]")
+        elif (id(o), pad) in shared:
+            put(shared[id(o), pad])
         else:
+            start = len(chunks)
             put("[" + inner)
             for item in o:
                 write(item, inner)
                 put("," + inner)
             chunks[-1] = pad + "]"
+            if all(type(x) is list and all(type(y) is int for y in x) for x in o):
+                shared[id(o), pad] = "".join(chunks[start:])
 
     write(obj, "\n")
     return "".join(chunks)

@@ -21,8 +21,10 @@ from qgrass import (
     parse_document,
     read_document,
 )
-from qgrass.cli import _dumps, main
-from conftest import PACKAGE_ROOT
+from qgrass.census import enumerate_subreps
+from qgrass.cli import _census_result, _dumps, main
+from qgrass.reps import reduce_mod_p
+from conftest import PACKAGE_ROOT, builtin_rep
 
 
 def run_cli(capsys, *argv):
@@ -588,6 +590,10 @@ JSON_VALUES = st.recursive(
     max_leaves=40,
 )
 
+# one rows list held more than once, as a census report holds each space's
+# rows at every point with that space; its text depends on its indent
+ROWS = [[1, 0, 2], [0, 1, 3]]
+
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(JSON_VALUES)
@@ -600,9 +606,29 @@ JSON_VALUES = st.recursive(
 @example((1, 2, -(2**70)))
 @example([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
 @example({"\x00\n\t\"\\": "\u03b1\u2028\U0001f600\x7f", "\u03b1": None, "": False})
+@example([ROWS, ROWS])
+@example({"a": ROWS, "b": {"c": ROWS}})
+@example([ROWS, {"a": ROWS}, ROWS])
 def test_emit_matches_stdlib_indent(value):
     # the report writer gives json.dumps(..., sort_keys=True, indent=2) byte for byte
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_census_report_builds_one_rows_list_per_space():
+    # every point that holds a space shares one rows list, which the writer
+    # then writes once per indent
+    _, rep = builtin_rep("kronecker-reg:3")
+    rep_q = reduce_mod_p(rep, 3)
+    payload = _census_result(rep_q, 3, None)
+    rows_lists = {
+        id(rows)
+        for row in payload["per_e"]
+        for entry in row["entries"]
+        for rows in entry["point"]["spaces"].values()
+    }
+    spaces = {space for point in enumerate_subreps(rep_q) for space in point.spaces}
+    assert len(rows_lists) == len(spaces)
+    assert payload["total_points"] > len(spaces)
 
 
 def test_emit_rejects_non_str_keys():
