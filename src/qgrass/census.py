@@ -12,11 +12,14 @@ N or M/N.  Delta's rows for the arrows into a vertex depend only on the
 spaces at their ends, so the census replays Delta along the points of
 enumerate_subreps: each point keeps the elimination of the point before it
 up to the first vertex, in topological order, where the two differ, writes
-the rows from there on, and reads the rank.  ext = 0 marks N as
-homologically transverse, and hom is the tangent-space dimension of the
-Grassmannian at N.  Point counts across several primes interpolate exactly over Q, in
-Newton form, to a counting polynomial whose value at q = 1 is the Euler
-characteristic.
+the rows from there on, and reads the rank.  The listing walk interns equal
+spaces, so for one call it and the replay each memoize the images M_a(N_i)
+by the ids of M_a and N_i, and the walk the children of each (j, k, W);
+point_counts's spaces are fresh and short-lived, so it computes its images
+afresh.  ext = 0 marks N as homologically transverse, and hom is the
+tangent-space dimension of the Grassmannian at N.  Point counts across several
+primes interpolate exactly over Q, in Newton form, to a counting polynomial
+whose value at q = 1 is the Euler characteristic.
 """
 
 from __future__ import annotations
@@ -76,7 +79,7 @@ def enumerate_subreps(m: Representation, e=None) -> list[SubrepPoint]:
     in the same order as enumerate_subreps(m, e).  The walk is depth-first,
     so the points below one tree node are consecutive, and equal spaces are
     one object across the list, so points that share a tree node share its
-    spaces by identity; census relies on both.
+    spaces by identity; census and the walk's memos rely on both.
     """
     targets, ranges, order, in_arrows = _walk_plan(m, e)
     out: list[SubrepPoint] = []
@@ -84,30 +87,52 @@ def enumerate_subreps(m: Representation, e=None) -> list[SubrepPoint]:
     # a reference cycle, freed only by the cyclic collector
     _subreps_from(
         0, m, order, in_arrows, ranges, [None] * m.quiver.n, [0] * m.quiver.n,
-        {t: t for t in targets}, out,
+        {t: t for t in targets}, {}, {}, out,
     )
     return out
 
 
-def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, out):
+def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, images, children, out):
     """Append to out the points that extend the spaces chosen at order[:pos].
 
     shared maps each target e, and each listed space's key, to the first
     equal object, so that points share dim_vector tuples and equal spaces.
+    images and children are the walk's memos; a root space heads one
+    subtree, so its images go when the walk leaves it.
     """
     if pos == len(order):
         out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=shared[tuple(e)]))
         return
     j = order[pos]
-    reqs, pivots = _required_span(m.field, in_arrows[j], chosen)
+    # at order[1] the images are a root space's, read at this one node
+    reqs, pivots = _required_span(m.field, in_arrows[j], chosen, images if pos > 1 else None)
+    w = tuple(map(tuple, reqs))
+    root_out = [mat for into in in_arrows for i, mat in into if i == j] if pos == 0 else ()
     for k in ranges[j]:
         if k < len(reqs):
             continue
         e[j] = k
-        for cand in subspaces_containing(m.dims[j], k, m.field.p, reqs, pivots):
-            chosen[j] = shared.setdefault((cand.ambient_dim, cand.matrix.entries), cand)
-            _subreps_from(pos + 1, m, order, in_arrows, ranges, chosen, e, shared, out)
+        if (j, k, w) not in children:
+            listed = subspaces_containing(m.dims[j], k, m.field.p, reqs, pivots)
+            children[j, k, w] = [shared.setdefault((c.ambient_dim, c.matrix.entries), c) for c in listed]
+        for cand in children[j, k, w]:
+            chosen[j] = cand
+            _subreps_from(pos + 1, m, order, in_arrows, ranges, chosen, e, shared, images, children, out)
+            for mat in root_out:
+                images.pop((id(mat), id(cand)), None)
     chosen[j] = None
+
+
+def _arrow_images(images, mat: Matrix, space: SubspaceBasis):
+    """M_a = mat applied to N_i = space's rows, afresh for images = None, else
+    memoized by (id(M_a), id(N_i)) as shared tuples, never reduced in place."""
+    if images is None:
+        return [mat.apply(space.matrix.row(r)) for r in range(space.dim)]
+    key = (id(mat), id(space))
+    rows = images.get(key)
+    if rows is None:
+        rows = images[key] = tuple([tuple(mat.apply(space.matrix.row(r))) for r in range(space.dim)])
+    return rows
 
 
 def _walk_plan(m: Representation, e):
@@ -134,13 +159,13 @@ def _walk_plan(m: Representation, e):
     return targets, ranges, order, in_arrows
 
 
-def _required_span(field: Field, in_arrows, chosen) -> tuple[list[list], tuple]:
+def _required_span(field: Field, in_arrows, chosen, images) -> tuple[list[list], tuple]:
     """RREF rows and pivot columns of W, the span of the images of the
-    chosen in-arrow sources.
+    chosen in-arrow sources, read through _arrow_images(images, ...).
 
     A subspace V_j satisfies every arrow into j exactly when it contains W.
     """
-    rows = [mat.apply(chosen[i].matrix.row(r)) for i, mat in in_arrows for r in range(chosen[i].dim)]
+    rows = [v for i, mat in in_arrows for v in _arrow_images(images, mat, chosen[i])]
     if not rows:
         return [], ()
     reduced = rref(Matrix.from_rows(field, rows))
@@ -173,7 +198,7 @@ def point_counts(m: Representation, e=None) -> dict:
 def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts):
     """Add to counts the points that extend the spaces chosen at order[:pos]."""
     j = order[pos]
-    reqs, pivots = _required_span(m.field, in_arrows[j], chosen)
+    reqs, pivots = _required_span(m.field, in_arrows[j], chosen, None)
     r, d, p = len(reqs), m.dims[j], m.field.p
     if pos == len(order) - 2:
         into_sink = [mat for i, mat in in_arrows[order[-1]] if i == j]
@@ -206,7 +231,7 @@ def _count_last_two(m, j, sink, into_sink, in_arrows, ranges, chosen, e, counts,
     """
     field, p = m.field, m.field.p
     d, r, d_sink = m.dims[j], len(w_rows), m.dims[sink]
-    a_rows, _ = _required_span(field, [(i, mat) for i, mat in in_arrows[sink] if i != j], chosen)
+    a_rows, _ = _required_span(field, [(i, mat) for i, mat in in_arrows[sink] if i != j], chosen, None)
     a = len(a_rows)
     rank_f = f_of_w = 0
     if into_sink:
@@ -271,7 +296,8 @@ def census(m: Representation, e=None) -> dict:
     # N_i's rows, and M_a's columns at N_i's non-pivots
     cols, rows = [0] * (n + 1), [0] * (n + 1)
     added, arrows = [[] for _ in order], [[] for _ in order]
-    offset, echelon, last = [0] * m.quiver.n, {}, None
+    offset, echelon, last, images = [0] * m.quiver.n, {}, None, {}
+    root_out = [mat for into in in_arrows for i, mat in into if i == order[0]]
     for point in enumerate_subreps(m, e):
         spaces = point.spaces
         # equal spaces are one object, so the two points share the tree
@@ -281,6 +307,8 @@ def census(m: Representation, e=None) -> dict:
         if last is not None:
             while spaces[order[start]] is last[order[start]]:
                 start += 1
+            for mat in root_out if start == 0 else ():  # last's root headed one subtree
+                images.pop((id(mat), id(last[order[0]])), None)
         for pos in range(start, n):
             for c in added[pos]:
                 del echelon[c]
@@ -292,7 +320,8 @@ def census(m: Representation, e=None) -> dict:
                 for i, mat in in_arrows[j]:
                     b = spaces[i]
                     free = [mat.entries[c :: mat.cols] for c in range(b.ambient_dim) if c not in b.pivots]
-                    arrows[pos].append((offset[i], b.dim, [mat.apply(b.matrix.row(r)) for r in range(b.dim)], free))
+                    images_i = _arrow_images(images if pos > 1 else None, mat, b)
+                    arrows[pos].append((offset[i], b.dim, images_i, free))
             offset[j] = cols[pos]
             cols[pos + 1] = cols[pos] + (m.dims[j] - space.dim) * space.dim
             new_rows = _delta_rows(p, space, cols[pos], cols[pos + 1], arrows[pos])

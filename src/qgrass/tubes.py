@@ -60,8 +60,9 @@ class TubeData:
 def _require_every_e(m: Representation, points, who: str) -> None:
     """InputError unless points has one point at e = 0 and one at e = dims,
     as the points of every dimension vector do."""
-    ends = [p.dim_vector for p in points if p.dim_vector in ((0,) * m.quiver.n, m.dims)]
-    if not ends.count((0,) * m.quiver.n) == ends.count(m.dims) == 1:
+    zero = (0,) * m.quiver.n
+    ends = [p.dim_vector for p in points if p.dim_vector in (zero, m.dims)]
+    if not ends.count(zero) == ends.count(m.dims) == 1:
         raise InputError(f"{who} needs the points of every dimension vector")
 
 

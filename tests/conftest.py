@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-import qgrass
+# write no bytecode into the source tree, here or in a child (CHILD_ENV):
+# a tree with a warm cache skips compiling, so it times a different program
+sys.dont_write_bytecode = True
+
+import qgrass  # noqa: E402  (after the switch above)
 from qgrass import (
     Field,
     Matrix,
@@ -19,9 +24,14 @@ from qgrass import (
 )
 
 
-# for a child interpreter's PYTHONPATH: it then imports the same qgrass as
-# the test process, however that one found it
-PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(qgrass.__file__)))
+# the reduced environment of a child interpreter: through PYTHONPATH it
+# imports the same qgrass as the test process, however that one found it,
+# and it writes no bytecode either
+CHILD_ENV = {
+    "PATH": "/usr/bin:/bin",
+    "PYTHONPATH": os.path.dirname(os.path.dirname(os.path.abspath(qgrass.__file__))),
+    "PYTHONDONTWRITEBYTECODE": "1",
+}
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import random
 import re
 
@@ -38,7 +39,7 @@ from qgrass import (
     rref,
     sub_quotient,
 )
-from conftest import BATTERY, PACKAGE_ROOT, builtin_rep, rep_from_ints, twist
+from conftest import BATTERY, CHILD_ENV, builtin_rep, rep_from_ints, twist
 
 F2 = Field.prime(2)
 
@@ -233,23 +234,30 @@ def test_census_tally_is_independent_of_coordinates(name):
 
 def test_walk_over_every_e_lists_only_children_that_contain_w(monkeypatch):
     # a node of the walk is a prefix of some point (extend it by the full
-    # spaces), and it lists the k-subspaces of M_j containing W for each
-    # k >= r = dim W: gaussian_binomial(d_j - r, k - r) of them
+    # spaces), and it iterates the k-subspaces of M_j containing W for each
+    # k >= r = dim W: gaussian_binomial(d_j - r, k - r) children, each one
+    # call of _subreps_from one position down.  Equal W recur at a vertex,
+    # and subspaces_containing lists each distinct (vertex, k, W) once
     module = importlib.import_module("qgrass.census")
-    listing, listed = module.subspaces_containing, []
+    listing, recurse, listed, visits = module.subspaces_containing, module._subreps_from, [], []
 
-    def counted(d, k, p, w_rows, w_pivots):
-        children = listing(d, k, p, w_rows, w_pivots)
-        listed.append(len(children))
-        return children
+    def counted_listing(d, k, p, w_rows, w_pivots):
+        listed.append(1)
+        return listing(d, k, p, w_rows, w_pivots)
 
-    monkeypatch.setattr(module, "subspaces_containing", counted)
+    def counted_visit(pos, *args):
+        visits.append(pos)
+        return recurse(pos, *args)
+
+    monkeypatch.setattr(module, "subspaces_containing", counted_listing)
+    monkeypatch.setattr(module, "_subreps_from", counted_visit)
     for name, q in (("a21-ray:3", 3), ("kronecker-reg:2", 2), ("kronecker-preproj:2", 2)):
         _, rep = modp(name, q)
         listed.clear()
+        visits.clear()
         points = enumerate_subreps(rep)
         quiver, idx = rep.quiver, rep.quiver.vertex_index
-        expected = 0
+        expected, distinct = [1] + [0] * quiver.n, set()  # the first call is the root's
         for pos, v in enumerate(quiver.topological_order):
             before = [idx[u] for u in quiver.topological_order[:pos]]
             j, d = idx[v], rep.dims[idx[v]]
@@ -260,9 +268,68 @@ def test_walk_over_every_e_lists_only_children_that_contain_w(monkeypatch):
                     for a in quiver.arrows_into(v)
                     for r in range(chosen[idx[a.source]].dim)
                 ]
-                w = SubspaceBasis.from_vectors(rep.field, images, d).dim
-                expected += sum(gaussian_binomial(d - w, k - w, q) for k in range(w, d + 1))
-        assert sum(listed) == expected, (name, q)
+                w = SubspaceBasis.from_vectors(rep.field, images, d)
+                for k in range(w.dim, d + 1):
+                    expected[pos + 1] += gaussian_binomial(d - w.dim, k - w.dim, q)
+                    distinct.add((j, k, w.matrix.entries))
+        assert [visits.count(pos) for pos in range(quiver.n + 1)] == expected, (name, q)
+        assert len(listed) == len(distinct) < sum(expected), (name, q)
+
+
+def test_walk_and_replay_apply_each_arrow_once_per_space(monkeypatch):
+    # the images of N_i's rows under M_a are computed once per (arrow,
+    # distinct space at its source), since the walk interns its spaces,
+    # except at the root: a root space heads one subtree, and its images
+    # are read at order[1] without the memo and dropped from it when the
+    # walk leaves the subtree, so they are computed once per root node and
+    # kept by no memo after the walk.  census's replay keeps a memo of its
+    # own, and its other applies are the oracle's, in sub_quotient
+    module = importlib.import_module("qgrass.census")
+    real, split, recurse = Matrix.apply, module.sub_quotient, module._subreps_from
+    applied, inside, memos = [], [], []
+
+    def counted_apply(self, vec):
+        applied.append(1)
+        return real(self, vec)
+
+    def counted_split(m, spaces):
+        before = len(applied)
+        out = split(m, spaces)
+        inside.append(len(applied) - before)
+        return out
+
+    def kept_memo(pos, *args):
+        if pos == 0:
+            memos.append(inspect.signature(recurse).bind(pos, *args).arguments["images"])
+        return recurse(pos, *args)
+
+    for name, q in (("kronecker-reg:3", 3), ("a21-ray:5", 3)):
+        _, rep = modp(name, q)
+        monkeypatch.setattr(Matrix, "apply", counted_apply)
+        monkeypatch.setattr(module, "sub_quotient", counted_split)
+        monkeypatch.setattr(module, "_subreps_from", kept_memo)
+        points = enumerate_subreps(rep)
+        walk = len(applied)
+        census(rep)
+        replay = len(applied) - 2 * walk - sum(inside)  # census walks the tree too
+        monkeypatch.undo()
+        applied.clear()
+        inside.clear()
+        idx = rep.quiver.vertex_index
+        root = idx[rep.quiver.topological_order[0]]
+        root_out = {id(rep.matrices[a.name]) for a in rep.quiver.arrows if idx[a.source] == root}
+        assert root_out and all(key[0] not in root_out for memo in memos for key in memo)
+        memos.clear()
+        # the points below one root node are consecutive
+        root_nodes = [
+            pt.spaces[root] for n, pt in enumerate(points) if not n or pt.spaces[root] is not points[n - 1].spaces[root]
+        ]
+        expected = 0
+        for a in rep.quiver.arrows:
+            i = idx[a.source]
+            spaces = root_nodes if i == root else {id(pt.spaces[i]): pt.spaces[i] for pt in points}.values()
+            expected += sum(space.dim for space in spaces)
+        assert (walk, replay) == (expected, expected), (name, q)
 
 
 def test_points_of_one_walk_share_equal_spaces():
@@ -510,7 +577,7 @@ def test_census_check_of_tangent_dims_survives_optimize():
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT},
+        env=CHILD_ENV,
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PACKAGE_ROOT
+from conftest import CHILD_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -28,7 +28,7 @@ def run_python(argv):
         [sys.executable, *argv],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT},
+        env=CHILD_ENV,
     )
 
 

@@ -24,7 +24,7 @@ from qgrass import (
 from qgrass.census import enumerate_subreps
 from qgrass.cli import _census_result, _dumps, main
 from qgrass.reps import reduce_mod_p
-from conftest import PACKAGE_ROOT, builtin_rep
+from conftest import CHILD_ENV, builtin_rep
 
 
 def run_cli(capsys, *argv):
@@ -659,7 +659,7 @@ def test_cli_byte_stable_across_processes():
             [sys.executable, "-m", "qgrass", "check", "--builtin", "a21-ex3", "--q", "2"],
             capture_output=True,
             text=True,
-            env={"PYTHONHASHSEED": seed, "PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT},
+            env={**CHILD_ENV, "PYTHONHASHSEED": seed},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)

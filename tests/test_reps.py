@@ -27,7 +27,7 @@ from qgrass import (
     reduce_mod_p,
     sub_quotient,
 )
-from conftest import PACKAGE_ROOT, builtin_rep, rep_from_ints, twist
+from conftest import CHILD_ENV, builtin_rep, rep_from_ints, twist
 
 F2 = Field.prime(2)
 F3 = Field.prime(3)
@@ -413,7 +413,7 @@ def test_euler_identity_is_checked_under_optimize():
         [sys.executable, "-O", "-c", script],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": PACKAGE_ROOT},
+        env=CHILD_ENV,
     )
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == ""
