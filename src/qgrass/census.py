@@ -104,7 +104,7 @@ def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, images, c
         out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=shared[tuple(e)]))
         return
     j = order[pos]
-    # at order[1] the images are a root space's, read at this one node
+    # at order[1] the images are a root space's, read at this one node: no memo
     reqs, pivots = _required_span(m.field, in_arrows[j], chosen, images if pos > 1 else None)
     w = tuple(map(tuple, reqs))
     root_out = [mat for into in in_arrows for i, mat in into if i == j] if pos == 0 else ()
