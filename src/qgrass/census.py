@@ -24,9 +24,9 @@ whose value at q = 1 is the Euler characteristic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .errors import CountNotPolynomialError, InputError, InternalCheckError
 from .fields import Field, distinct_primes, next_prime
@@ -42,8 +42,7 @@ from .linalg import (
 from .reps import Representation, hom_ext, is_subrep, reduce_mod_p, sub_quotient
 
 
-@dataclass(frozen=True)
-class SubrepPoint:
+class SubrepPoint(NamedTuple):
     """A point of the quiver Grassmannian: one canonical subspace per vertex."""
 
     spaces: tuple
@@ -57,8 +56,7 @@ class SubrepPoint:
         return all(b.contains(a) for a, b in zip(self.spaces, other.spaces))
 
 
-@dataclass
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """One point N of a census with dim Hom(N, M/N) and dim Ext^1(N, M/N);
     ext_dim = 0 marks N as homologically transverse."""
 
@@ -398,8 +396,7 @@ def _reduce_into(echelon: dict, rows, p) -> list:
     return added
 
 
-@dataclass(frozen=True)
-class CountingPolynomial:
+class CountingPolynomial(NamedTuple):
     """Interpolated |Gr_e(M)(F_q)| as a polynomial in q.
 
     coefficients are ascending; the check sample is the extra prime used to

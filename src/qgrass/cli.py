@@ -13,7 +13,6 @@ import argparse
 import json
 import sys
 import time
-import traceback
 
 from . import __version__
 from .builtin import emit_builtin
@@ -78,6 +77,8 @@ def main(argv=None) -> int:
         print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except Exception as exc:
+        import traceback  # here, its only use, so other runs skip the import
+
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return EXIT_INTERNAL

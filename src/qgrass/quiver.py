@@ -17,7 +17,6 @@ it: see _affine_null_root.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
@@ -123,8 +122,7 @@ def euler_form(quiver: Quiver, d, e) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class EulerData:
+class EulerData(NamedTuple):
     """Euler matrix, Coxeter matrix and its inverse, and affine data."""
 
     quiver: Quiver

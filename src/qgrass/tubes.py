@@ -18,7 +18,7 @@ each requested prime field, and reports whether they coincide.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from typing import NamedTuple
 
 from .census import SubrepPoint, census
 from .errors import (
@@ -35,8 +35,7 @@ from .quiver import EulerData, compute_euler_data, coxeter_apply, defect
 from .reps import Representation, is_rigid, reduce_mod_p
 
 
-@dataclass(frozen=True)
-class TubeData:
+class TubeData(NamedTuple):
     """Coordinates of a regular indecomposable inside its tube.
 
     ray_dims[t] is the dimension vector of the quasi-length-t ray submodule;
@@ -155,8 +154,7 @@ def tube_coordinates(euler_data: EulerData, dim_m, dim_r0) -> TubeData:
     )
 
 
-@dataclass(frozen=True)
-class CombinatorialTransverse:
+class CombinatorialTransverse(NamedTuple):
     """The combinatorial transverse locus: every point N except those with
     lower <= N <= upper, the ray submodules of quasi-lengths k + 1 and
     l*p - 1.  rays[t] is the unique point with dims tube.ray_dims[t], for
@@ -217,8 +215,7 @@ def transverse_combinatorial(m: Representation, points) -> CombinatorialTransver
     return CombinatorialTransverse(tube=tube, rays=tuple(bucket[0] for bucket in found.values()))
 
 
-@dataclass
-class Counterexample:
+class Counterexample(NamedTuple):
     q: int
     e: tuple
     point: SubrepPoint
@@ -227,14 +224,13 @@ class Counterexample:
     side: str  # "combinatorial_only" or "homological_only"
 
 
-@dataclass
-class FieldComparison:
+class FieldComparison(NamedTuple):
     """Comparison of both transverse loci over one prime field."""
 
     q: int
+    per_e: dict  # e -> (comb count, hom count, equal)
     tube: TubeData | None = None
     error: str | None = None
-    per_e: dict = dataclass_field(default_factory=dict)  # e -> (comb count, hom count, equal)
 
     @property
     def rigid(self) -> bool:
@@ -245,8 +241,7 @@ class FieldComparison:
         return self.error is None and all(equal for _, _, equal in self.per_e.values())
 
 
-@dataclass
-class TransverseComparison:
+class TransverseComparison(NamedTuple):
     per_field: list
     counterexamples: list
 
@@ -289,8 +284,8 @@ def _compare_over(m: Representation, q: int) -> tuple[FieldComparison, list]:
     try:
         comb = transverse_combinatorial(m_q, [x.point for entries in entries_by_e.values() for x in entries])
     except InternalCheckError as err:
-        return FieldComparison(q=q, error=f"{type(err).__name__}: {err}"), []
-    fc = FieldComparison(q=q, tube=comb.tube)
+        return FieldComparison(q=q, per_e={}, error=f"{type(err).__name__}: {err}"), []
+    fc = FieldComparison(q=q, per_e={}, tube=comb.tube)
     counterexamples = []
     for e, entries in entries_by_e.items():
         n_comb = n_hom = 0

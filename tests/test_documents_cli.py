@@ -509,7 +509,6 @@ KEPT_B = (((1, 0, 0), (0, 1, 0)), ((1, 1, 0),))
 def test_cli_check_reports_counterexamples_in_sort_key_order(capsys, monkeypatch, tmp_path):
     # the loci coincide on every honest fixture, so census is wrapped to swap
     # the pinched point's ext with that of two kept points
-    import dataclasses
     import importlib
 
     tubes = importlib.import_module("qgrass.tubes")
@@ -519,7 +518,7 @@ def test_cli_check_reports_counterexamples_in_sort_key_order(capsys, monkeypatch
     def forced_census(rep_q, e=None):
         report = real_census(rep_q, e)
         report[(2, 1)] = [
-            dataclasses.replace(x, ext_dim=forced_ext.get(
+            x._replace(ext_dim=forced_ext.get(
                 tuple(tuple(map(tuple, s.matrix.to_rows())) for s in x.point.spaces), x.ext_dim))
             for x in report[(2, 1)]
         ]

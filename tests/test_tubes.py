@@ -377,12 +377,13 @@ def test_compare_drops_each_census_before_the_next(monkeypatch):
     real_census = tubes.census
     earlier = []
 
+    class Report(dict):
+        """A census that can be weakly referenced, as a dict cannot."""
+
     def tracked_census(rep_q, e=None):
         alive = [ref for ref in earlier if ref() is not None]
-        report = real_census(rep_q, e)
-        # a dict cannot be weakly referenced, but an entry lives only in its
-        # census, so its entry at e = dims stands for the whole census
-        earlier.append(weakref.ref(report[rep_q.dims][0]))
+        report = Report(real_census(rep_q, e))
+        earlier.append(weakref.ref(report))
         assert alive == [], "an earlier prime's census is still alive"
         return report
 
