@@ -100,17 +100,6 @@ def test_field_comparison_takes_per_e_and_defaults_the_rest():
         FieldComparison(q=2)
     fc = FieldComparison(q=3, per_e={})
     assert fc.tube is None and fc.error is None and fc.rigid and fc.verdict
-    failed = FieldComparison(q=3, per_e={}, error="InternalCheckError: x")
-    assert not failed.rigid and not failed.verdict
-    assert TransverseComparison(per_field=[fc, failed], counterexamples=[]).internal_errors == [
-        "q=3: InternalCheckError: x"
-    ]
-
-
-def test_counting_polynomial_keeps_its_methods():
-    poly = CountingPolynomial.from_samples([(2, 3), (3, 4)], (5, 6))
-    assert poly == CountingPolynomial(coefficients=(1, 1), samples=((2, 3), (3, 4)), check_sample=(5, 6))
-    assert (poly.degree, poly.euler_characteristic, str(poly)) == (1, 2, "q + 1")
 
 
 def test_record_reprs_are_pinned(entry):
