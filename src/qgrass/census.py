@@ -13,13 +13,13 @@ spaces at their ends, so the census replays Delta along the points of
 enumerate_subreps: each point keeps the elimination of the point before it
 up to the first vertex, in topological order, where the two differ, writes
 the rows from there on, and reads the rank.  The listing walk interns equal
-spaces, so for one call it and the replay each memoize the images M_a(N_i)
-by the ids of M_a and N_i, and the walk the children of each (j, k, W);
-point_counts's spaces are fresh and short-lived, so it computes its images
-afresh.  ext = 0 marks N as homologically transverse, and hom is the
-tangent-space dimension of the Grassmannian at N.  Point counts across several
-primes interpolate exactly over Q, in Newton form, to a counting polynomial
-whose value at q = 1 is the Euler characteristic.
+spaces, so it memoizes the images M_a(N_i) by the ids of M_a and N_i, which
+the replay reads, and the children of each (j, k, W); point_counts's spaces
+are fresh and short-lived, so it computes its images afresh.  ext = 0 marks
+N as homologically transverse, and hom is the tangent-space dimension of
+the Grassmannian at N.  Point counts across several primes interpolate
+exactly over Q, in Newton form, to a counting polynomial whose value at
+q = 1 is the Euler characteristic.
 """
 
 from __future__ import annotations
@@ -79,13 +79,18 @@ def enumerate_subreps(m: Representation, e=None) -> list[SubrepPoint]:
     one object across the list, so points that share a tree node share its
     spaces by identity; census and the walk's memos rely on both.
     """
-    targets, ranges, order, in_arrows = _walk_plan(m, e)
+    return _walk(m, _walk_plan(m, e), {})
+
+
+def _walk(m: Representation, plan, images: dict) -> list[SubrepPoint]:
+    """enumerate_subreps's walk over plan, memoizing its images in images."""
+    targets, ranges, order, in_arrows = plan
     out: list[SubrepPoint] = []
     # a module-level recursion, not a closure calling itself: that would be
     # a reference cycle, freed only by the cyclic collector
     _subreps_from(
         0, m, order, in_arrows, ranges, [None] * m.quiver.n, [0] * m.quiver.n,
-        {t: t for t in targets}, {}, {}, out,
+        {t: t for t in targets}, images, {}, out,
     )
     return out
 
@@ -95,8 +100,6 @@ def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, images, c
 
     shared maps each target e, and each listed space's key, to the first
     equal object, so that points share dim_vector tuples and equal spaces.
-    images and children are the walk's memos; a root space heads one
-    subtree, so its images go when the walk leaves it.
     """
     if pos == len(order):
         out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=shared[tuple(e)]))
@@ -105,7 +108,6 @@ def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, images, c
     # at order[1] the images are a root space's, read at this one node: no memo
     reqs, pivots = _required_span(m.field, in_arrows[j], chosen, images if pos > 1 else None)
     w = tuple(map(tuple, reqs))
-    root_out = [mat for into in in_arrows for i, mat in into if i == j] if pos == 0 else ()
     for k in ranges[j]:
         if k < len(reqs):
             continue
@@ -116,8 +118,6 @@ def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, images, c
         for cand in children[j, k, w]:
             chosen[j] = cand
             _subreps_from(pos + 1, m, order, in_arrows, ranges, chosen, e, shared, images, children, out)
-            for mat in root_out:
-                images.pop((id(mat), id(cand)), None)
     chosen[j] = None
 
 
@@ -272,20 +272,21 @@ def census(m: Representation, e=None) -> dict:
     all_dim_vectors order for e = None, maps to its CensusEntry list in
     walk order, empty slices included.
 
-    The points are enumerate_subreps(m, e), and each point's hom and ext
-    come from the rank of Delta, replayed along that list: a point keeps
-    the echelon rows of the point before it up to the first position in
-    topological order where their spaces differ, and writes Delta's rows
-    from there on, so they are written once per tree node.  At the first
-    point of each nonempty slice hom and ext must equal
-    hom_ext(*sub_quotient(m, spaces)), or InternalCheckError is raised.
+    The points are enumerate_subreps(m, e), from the same walk, and each
+    point's hom and ext come from the rank of Delta, replayed along them
+    with the walk's images: a point keeps the echelon rows of the point
+    before it up to the first position in topological order where their
+    spaces differ, and writes Delta's rows from there on, so they are
+    written once per tree node.  At the first point of each nonempty slice
+    hom and ext must equal hom_ext(*sub_quotient(m, spaces)), or
+    InternalCheckError is raised.
 
     Delta's domain is laid out block by block in topological order, block
     f_v in Mat((d - e)_v x e_v) from column offset[v] on.  echelon maps
     each pivot column to its row (see _reduce_into), so a point reads the
     rank of its own Delta as len(echelon).
     """
-    targets, _, order, in_arrows = _walk_plan(m, e)
+    targets, _, order, in_arrows = plan = _walk_plan(m, e)
     entries_by_e: dict = {target: [] for target in targets}
     p, n = m.field.p, len(order)
     # per position in order: Delta's columns and rows written before it,
@@ -295,18 +296,16 @@ def census(m: Representation, e=None) -> dict:
     cols, rows = [0] * (n + 1), [0] * (n + 1)
     added, arrows = [[] for _ in order], [[] for _ in order]
     offset, echelon, last, images = [0] * m.quiver.n, {}, None, {}
-    root_out = [mat for into in in_arrows for i, mat in into if i == order[0]]
-    for point in enumerate_subreps(m, e):
+    # the memo is keyed by id, and still sound once the walk has returned:
+    # every space it keys was alive at the same time as every listed space
+    for point in _walk(m, plan, images):
         spaces = point.spaces
         # equal spaces are one object, so the two points share the tree
         # nodes above start; order[0] is a source, so arrows[0] stays empty,
         # and arrows[start] depends only on the spaces above it
         start = 0
-        if last is not None:
-            while spaces[order[start]] is last[order[start]]:
-                start += 1
-            for mat in root_out if start == 0 else ():  # last's root headed one subtree
-                images.pop((id(mat), id(last[order[0]])), None)
+        while last is not None and spaces[order[start]] is last[order[start]]:
+            start += 1
         for pos in range(start, n):
             for c in added[pos]:
                 del echelon[c]

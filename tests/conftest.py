@@ -65,6 +65,14 @@ def rep_from_ints(quiver: Quiver, field: Field, dims, matrices: dict) -> Represe
     return Representation(quiver, field, dims, mats)
 
 
+def dual(rep: Representation) -> Representation:
+    """DM, the dual of rep over the opposite quiver: every arrow reversed
+    and its matrix transposed, at the same vertices and dims."""
+    quiver = rep.quiver
+    opposite = Quiver(quiver.vertices, [(a.name, a.target, a.source) for a in quiver.arrows])
+    return Representation(opposite, rep.field, rep.dims, {a: mat.transpose() for a, mat in rep.matrices.items()})
+
+
 def twist(rep: Representation, seed: int) -> Representation:
     """rep under a dense change of basis P_v = L_v U_v at every vertex, with
     L_v lower and U_v upper unitriangular and off-diagonal entries drawn from

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import importlib
-import inspect
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -34,12 +35,16 @@ from qgrass import (
     hom_ext,
     is_rigid,
     is_subrep,
+    kernel_basis,
+    parse_document,
     point_counts,
     reduce_mod_p,
     rref,
     sub_quotient,
 )
-from conftest import BATTERY, CHILD_ENV, builtin_rep, rep_from_ints, twist
+from conftest import BATTERY, CHILD_ENV, builtin_rep, dual, rep_from_ints, twist
+
+BAND = Path(__file__).with_name("inputs") / "a21-band-2.json"
 
 F2 = Field.prime(2)
 
@@ -279,13 +284,14 @@ def test_walk_over_every_e_lists_only_children_that_contain_w(monkeypatch):
 def test_walk_and_replay_apply_each_arrow_once_per_space(monkeypatch):
     # the images of N_i's rows under M_a are computed once per (arrow,
     # distinct space at its source), since the walk interns its spaces,
-    # except at the root: a root space heads one subtree, and its images
-    # are read at order[1] without the memo and dropped from it when the
-    # walk leaves the subtree, so they are computed once per root node and
-    # kept by no memo after the walk.  census's replay keeps a memo of its
-    # own, and its other applies are the oracle's, in sub_quotient
+    # except at order[1]: its in-arrows come from the root, and a root
+    # space's images are read there at one node without the memo, so they
+    # are computed once per root node.  census hands the walk the memo its
+    # replay reads, so the replay computes only the images at order[1],
+    # once per root node, and its other applies are the oracle's, in
+    # sub_quotient
     module = importlib.import_module("qgrass.census")
-    real, split, recurse = Matrix.apply, module.sub_quotient, module._subreps_from
+    real, split, walk = Matrix.apply, module.sub_quotient, module._walk
     applied, inside, memos = [], [], []
 
     def counted_apply(self, vec):
@@ -298,38 +304,48 @@ def test_walk_and_replay_apply_each_arrow_once_per_space(monkeypatch):
         inside.append(len(applied) - before)
         return out
 
-    def kept_memo(pos, *args):
-        if pos == 0:
-            memos.append(inspect.signature(recurse).bind(pos, *args).arguments["images"])
-        return recurse(pos, *args)
+    def kept_memo(m, plan, images):
+        memos.append(images)
+        return walk(m, plan, images)
 
+    # every arrow of kronecker-reg:3 goes into order[1]; a21-ray:5 has one
+    # from the root past it and one between the later vertices
     for name, q in (("kronecker-reg:3", 3), ("a21-ray:5", 3)):
         _, rep = modp(name, q)
         monkeypatch.setattr(Matrix, "apply", counted_apply)
         monkeypatch.setattr(module, "sub_quotient", counted_split)
-        monkeypatch.setattr(module, "_subreps_from", kept_memo)
+        monkeypatch.setattr(module, "_walk", kept_memo)
         points = enumerate_subreps(rep)
-        walk = len(applied)
-        census(rep)
-        replay = len(applied) - 2 * walk - sum(inside)  # census walks the tree too
+        walked = len(applied)
+        report = census(rep)
+        replay = len(applied) - 2 * walked - sum(inside)  # census walks the tree too
         monkeypatch.undo()
         applied.clear()
         inside.clear()
-        idx = rep.quiver.vertex_index
-        root = idx[rep.quiver.topological_order[0]]
-        root_out = {id(rep.matrices[a.name]) for a in rep.quiver.arrows if idx[a.source] == root}
-        assert root_out and all(key[0] not in root_out for memo in memos for key in memo)
-        memos.clear()
+        quiver, idx = rep.quiver, rep.quiver.vertex_index
+        root, first = (idx[v] for v in quiver.topological_order[:2])
         # the points below one root node are consecutive
         root_nodes = [
             pt.spaces[root] for n, pt in enumerate(points) if not n or pt.spaces[root] is not points[n - 1].spaces[root]
         ]
-        expected = 0
-        for a in rep.quiver.arrows:
-            i = idx[a.source]
-            spaces = root_nodes if i == root else {id(pt.spaces[i]): pt.spaces[i] for pt in points}.values()
+        # every node of a walk over every e is above a point, so the census's
+        # points hold every space the walk read an image of
+        listed = [entry.point for entries in report.values() for entry in entries]
+        expected, at_first, keys = 0, 0, set()
+        for a in quiver.arrows:
+            i, mat = idx[a.source], rep.matrices[a.name]
+            if idx[a.target] == first:
+                at_first += sum(space.dim for space in root_nodes)
+                continue
+            spaces = {id(pt.spaces[i]): pt.spaces[i] for pt in points}.values()
             expected += sum(space.dim for space in spaces)
-        assert (walk, replay) == (expected, expected), (name, q)
+            keys |= {(id(mat), id(pt.spaces[i])) for pt in listed}
+        assert at_first and (walked, replay) == (expected + at_first, at_first), (name, q)
+        # the walk's memo, read by the replay, is census's one memo: after
+        # census it holds one entry per (arrow into a position >= 2,
+        # distinct source space), and none for the arrows into order[1]
+        assert len(memos) == 2 and set(memos[1]) == keys, (name, q)
+        memos.clear()
 
 
 def test_points_of_one_walk_share_equal_spaces():
@@ -484,19 +500,19 @@ def test_echelon_rows_are_added_and_undone_as_the_walk_does():
 
 
 def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
-    # one enumerate_subreps call, so one walk, per census call; Delta is
-    # replayed along its list
+    # one call of the listing walk per census call; Delta is replayed
+    # along its list
     module = importlib.import_module("qgrass.census")
-    walk, calls = module.enumerate_subreps, []
+    walk, calls = module._walk, []
 
-    def counted(m, e=None):
-        calls.append(e)
-        return walk(m, e)
+    def counted(m, plan, images):
+        calls.append(plan[0])  # the walk's targets
+        return walk(m, plan, images)
 
-    monkeypatch.setattr(module, "enumerate_subreps", counted)
+    monkeypatch.setattr(module, "_walk", counted)
     _, rep = modp("a21-ex3", 3)
     full = census(rep)
-    assert calls == [None]
+    assert calls == [all_dim_vectors(rep.dims)]
     assert list(full) == all_dim_vectors(rep.dims)
     for e in all_dim_vectors(rep.dims):
         one = census(rep, e)
@@ -504,7 +520,7 @@ def test_census_walks_the_subrepresentation_tree_once(monkeypatch):
         assert [(x.point, x.hom_dim, x.ext_dim) for x in one[e]] == [
             (x.point, x.hom_dim, x.ext_dim) for x in full[e]
         ], e
-    assert calls == [None, *all_dim_vectors(rep.dims)]
+    assert calls == [all_dim_vectors(rep.dims), *([e] for e in all_dim_vectors(rep.dims))]
 
 
 def test_census_writes_delta_rows_once_per_tree_node(monkeypatch):
@@ -648,27 +664,43 @@ def test_point_counts_respect_duality():
     # independent invariant: transposing all matrices and reversing all
     # arrows turns e-dimensional subrepresentations into (d-e)-dimensional
     # ones (annihilator by vertex), so the slice counts must mirror
-    from qgrass import Quiver, Representation
-
     for name in ("a21-ex3", "kronecker-reg:2", "kronecker-preproj:1"):
         for q in (2, 3):
             _, rep = modp(name, q)
-            quiver = rep.quiver
-            op_quiver = Quiver(
-                quiver.vertices,
-                [(a.name, a.target, a.source) for a in quiver.arrows],
-            )
-            op_rep = Representation(
-                op_quiver,
-                rep.field,
-                rep.dims,
-                {a: mat.transpose() for a, mat in rep.matrices.items()},
-            )
+            op_rep = dual(rep)
             for e in all_dim_vectors(rep.dims):
                 mirror = tuple(d - x for d, x in zip(rep.dims, e))
                 assert len(enumerate_subreps(rep, e)) == len(
                     enumerate_subreps(op_rep, mirror)
                 ), (name, q, e)
+
+
+@pytest.mark.parametrize("name", [*BATTERY, pytest.param(BAND, id="a21-band-2")])
+def test_census_is_pointwise_dual(name):
+    # N -> N^perp, the annihilator at every vertex, maps Gr_e(M) onto
+    # Gr_(d-e)(DM), and Hom and Ext^1(N^perp, DM/N^perp) = (D(M/N), DN) are
+    # those of (N, M/N).  DM walks the topological order in reverse, so
+    # its arrows out of the root, and with them the images its replay
+    # reads from the walk's memo, are other arrows than M's
+    if name == BAND:
+        _, rep = parse_document(json.loads(BAND.read_text()))
+        rep = reduce_mod_p(rep, 3)
+    else:
+        _, rep = modp(name, 3)
+    field = rep.field
+
+    def key(spaces):
+        return tuple((s.ambient_dim, s.matrix.entries) for s in spaces)
+
+    mirror = {key(x.point.spaces): (x.hom_dim, x.ext_dim) for xs in census(dual(rep)).values() for x in xs}
+    seen = 0
+    for e, entries in census(rep).items():
+        for x in entries:
+            perp = [SubspaceBasis.from_matrix(field, kernel_basis(s.matrix)) for s in x.point.spaces]
+            assert tuple(s.dim for s in perp) == tuple(d - k for d, k in zip(rep.dims, e))
+            assert mirror[key(perp)] == (x.hom_dim, x.ext_dim), (name, e)
+            seen += 1
+    assert seen == len(mirror), name
 
 
 def test_counting_polynomial_example1():
