@@ -33,6 +33,7 @@ from .fields import Field, distinct_primes, next_prime
 from .linalg import (
     Matrix,
     SubspaceBasis,
+    _rref_rows,
     gaussian_binomial,
     kernel_basis,
     rref,
@@ -106,14 +107,13 @@ def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, images, c
         return
     j = order[pos]
     # at order[1] the images are a root space's, read at this one node: no memo
-    reqs, pivots = _required_span(m.field, in_arrows[j], chosen, images if pos > 1 else None)
-    w = tuple(map(tuple, reqs))
+    w, pivots = _required_span(m.field, in_arrows[j], chosen, images if pos > 1 else None)
     for k in ranges[j]:
-        if k < len(reqs):
+        if k < len(w):
             continue
         e[j] = k
         if (j, k, w) not in children:
-            listed = subspaces_containing(m.dims[j], k, m.field.p, reqs, pivots)
+            listed = subspaces_containing(m.dims[j], k, m.field.p, w, pivots)
             children[j, k, w] = [shared.setdefault((c.ambient_dim, c.matrix.entries), c) for c in listed]
         for cand in children[j, k, w]:
             chosen[j] = cand
@@ -157,17 +157,18 @@ def _walk_plan(m: Representation, e):
     return targets, ranges, order, in_arrows
 
 
-def _required_span(field: Field, in_arrows, chosen, images) -> tuple[list[list], tuple]:
-    """RREF rows and pivot columns of W, the span of the images of the
-    chosen in-arrow sources, read through _arrow_images(images, ...).
+def _required_span(field: Field, in_arrows, chosen, images) -> tuple[tuple, tuple]:
+    """RREF rows (a tuple of tuples) and pivot columns of W, the span of the
+    images of the chosen in-arrow sources, read through _arrow_images(images,
+    ...) into a fresh list that _rref_rows reduces by rebinding its slots.
 
     A subspace V_j satisfies every arrow into j exactly when it contains W.
     """
     rows = [v for i, mat in in_arrows for v in _arrow_images(images, mat, chosen[i])]
     if not rows:
-        return [], ()
-    reduced = rref(Matrix.from_rows(field, rows))
-    return reduced.matrix.to_rows()[: reduced.rank], reduced.pivots
+        return (), ()
+    pivots = _rref_rows(rows, len(rows[0]), field)
+    return tuple(map(tuple, rows[: len(pivots)])), tuple(pivots)
 
 
 def point_counts(m: Representation, e=None) -> dict:
@@ -234,8 +235,8 @@ def _count_last_two(m, j, sink, into_sink, in_arrows, ranges, chosen, e, counts,
     rank_f = f_of_w = 0
     if into_sink:
         b = into_sink[0]
-        rank_f = _rank(field, a_rows + b.transpose().to_rows()) - a
-        f_of_w = _rank(field, a_rows + [b.apply(w) for w in w_rows]) - a
+        rank_f = _rank(field, [*a_rows, *b.transpose().to_rows()]) - a
+        f_of_w = _rank(field, [*a_rows, *(b.apply(w) for w in w_rows)]) - a
     w_in_ker = r - f_of_w
     meet_ambient = d - rank_f - w_in_ker  # dim (K + W) / W
     for k in ranges[j]:

@@ -119,7 +119,7 @@ class RrefResult(NamedTuple):
 
 
 def _rref_rows(rows: list[list], ncols: int, field: Field) -> list[int]:
-    """In-place Gauss-Jordan; returns the pivot columns."""
+    """Gauss-Jordan in place of the list's slots, never of a row's entries; returns the pivot columns."""
     p = field.p
     pivots = []
     r = 0
@@ -210,9 +210,7 @@ class SubspaceBasis:
     def from_matrix(cls, field: Field, matrix: Matrix) -> "SubspaceBasis":
         """Canonicalize an arbitrary spanning matrix (zero rows dropped)."""
         red, rank, pivots = rref(matrix)
-        rows = [red.row(i) for i in range(rank)]
-        flat = [x for row in rows for x in row]
-        return cls(field, Matrix(field, rank, matrix.cols, flat), pivots)
+        return cls(field, Matrix(field, rank, matrix.cols, red.entries[: rank * matrix.cols]), pivots)
 
     @classmethod
     def from_vectors(cls, field: Field, vectors, ambient_dim: int) -> "SubspaceBasis":

@@ -331,7 +331,7 @@ def test_walk_and_replay_apply_each_arrow_once_per_space(monkeypatch):
         # every node of a walk over every e is above a point, so the census's
         # points hold every space the walk read an image of
         listed = [entry.point for entries in report.values() for entry in entries]
-        expected, at_first, keys = 0, 0, set()
+        expected, at_first, sources = 0, 0, {}
         for a in quiver.arrows:
             i, mat = idx[a.source], rep.matrices[a.name]
             if idx[a.target] == first:
@@ -339,12 +339,17 @@ def test_walk_and_replay_apply_each_arrow_once_per_space(monkeypatch):
                 continue
             spaces = {id(pt.spaces[i]): pt.spaces[i] for pt in points}.values()
             expected += sum(space.dim for space in spaces)
-            keys |= {(id(mat), id(pt.spaces[i])) for pt in listed}
+            sources.update(((id(mat), id(pt.spaces[i])), (mat, pt.spaces[i])) for pt in listed)
         assert at_first and (walked, replay) == (expected + at_first, at_first), (name, q)
         # the walk's memo, read by the replay, is census's one memo: after
         # census it holds one entry per (arrow into a position >= 2,
         # distinct source space), and none for the arrows into order[1]
-        assert len(memos) == 2 and set(memos[1]) == keys, (name, q)
+        assert len(memos) == 2 and set(memos[1]) == set(sources), (name, q)
+        # and _required_span, which reduces the memo's rows, left them as
+        # the images are
+        for key, rows in memos[1].items():
+            mat, space = sources[key]
+            assert [list(v) for v in rows] == [real(mat, space.matrix.row(r)) for r in range(space.dim)], (name, q)
         memos.clear()
 
 
@@ -701,6 +706,23 @@ def test_census_is_pointwise_dual(name):
             assert mirror[key(perp)] == (x.hom_dim, x.ext_dim), (name, e)
             seen += 1
     assert seen == len(mirror), name
+
+
+PINNED_TUBES = {"a21-ray:3": (2, 3, 1, 1), BAND: (1, 2, 2, 0)}
+
+
+@pytest.mark.parametrize("name", [*BATTERY, pytest.param(BAND, id="a21-band-2")])
+def test_check_is_dual(name):
+    # DM lies in a tube of the same rank, at the same quasi-length and
+    # window, and N -> N^perp carries each locus of M at e onto DM's at
+    # d - e; DM's tube pipeline runs in the reverse topological order
+    _, rep = parse_document(json.loads(BAND.read_text())) if name == BAND else builtin_rep(name)
+    ours, theirs = compare_transverse_loci(rep, [3]), compare_transverse_loci(dual(rep), [3])
+    assert ours.verdict and theirs.verdict and not ours.counterexamples and not theirs.counterexamples, name
+    (fc,), (fd,) = ours.per_field, theirs.per_field
+    shape = [(t.tube_rank, t.quasi_length, t.l, t.k) for t in (fc.tube, fd.tube)]
+    assert shape[0] == shape[1] == PINNED_TUBES.get(name, shape[0]), name
+    assert {tuple(d - k for d, k in zip(rep.dims, e)): v for e, v in fc.per_e.items()} == fd.per_e, name
 
 
 def test_counting_polynomial_example1():

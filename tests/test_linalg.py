@@ -7,6 +7,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrass import (
     QQ,
@@ -128,6 +130,30 @@ def test_rank_matches_sympy_over_prime_fields(p):
         assert len(_rref_rows([row[:] for row in reduced], cols, field)) == expected, entries
         m = Matrix(field, rows, cols, [x for row in reduced for x in row])
         assert rref(m).rank == expected, entries
+
+
+@st.composite
+def _mixed_rows(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.integers(0, p - 1), min_size=cols, max_size=cols), min_size=1, max_size=6))
+    return p, cols, [tuple(row) if draw(st.booleans()) else row for row in rows]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(_mixed_rows())
+def test_rref_rows_rebinds_slots_and_never_writes_into_a_row(case):
+    # census._required_span reduces a fresh list of the image memo's tuples
+    # and of fresh lists, so _rref_rows may only rebind the list's slots
+    p, cols, given_rows = case
+    field = Field.prime(p)
+    copies = [list(row) for row in given_rows]
+    rows = list(given_rows)
+    pivots = _rref_rows(rows, cols, field)
+    assert [list(row) for row in given_rows] == copies
+    red, rank, expected = rref(Matrix.from_rows(field, copies))
+    assert tuple(pivots) == expected
+    assert [list(row) for row in rows[:rank]] == red.to_rows()[:rank]
 
 
 def test_kernel_of_jordan_block_is_first_axis():
