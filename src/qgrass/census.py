@@ -36,7 +36,6 @@ from .linalg import (
     _rref_rows,
     gaussian_binomial,
     kernel_basis,
-    rref,
     subspaces_containing,
     subspaces_meeting,
 )
@@ -181,29 +180,31 @@ def point_counts(m: Representation, e=None) -> dict:
     Schubert cells of M_j / W.  The last vertex in topological order is a
     sink, so nothing downstream constrains V_j there, and they are counted:
     there are gaussian_binomial(d_j - r, k - r) of them.  When the vertex
-    before it has at most one arrow into it, the two are counted together
+    before it has at most one arrow b into it, the two are counted together
     (_count_last_two); two or more parallel arrows take the listing path.
+    M_b's columns and the closed form's memo serve this one call: the
+    memo's increments hold for this walk's dims, ranges and prime only.
     """
     targets, ranges, order, in_arrows = _walk_plan(m, e)
     if not order:  # no vertices: the zero representation is the one point
         return {(): 1}
     counts = dict.fromkeys(targets, 0)
+    into_sink = [mat for i, mat in in_arrows[order[-1]] if i == order[-2]]
+    closed = (into_sink, into_sink[0].transpose().to_rows() if len(into_sink) == 1 else [], {})
     # a module-level recursion, not a closure calling itself: that would be
     # a reference cycle, freed only by the cyclic collector
-    _count_from(0, m, order, in_arrows, ranges, [None] * m.quiver.n, [0] * m.quiver.n, counts)
+    _count_from(0, m, order, in_arrows, ranges, [None] * m.quiver.n, [0] * m.quiver.n, counts, closed)
     return counts
 
 
-def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts):
+def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts, closed):
     """Add to counts the points that extend the spaces chosen at order[:pos]."""
     j = order[pos]
     reqs, pivots = _required_span(m.field, in_arrows[j], chosen, None)
     r, d, p = len(reqs), m.dims[j], m.field.p
-    if pos == len(order) - 2:
-        into_sink = [mat for i, mat in in_arrows[order[-1]] if i == j]
-        if len(into_sink) <= 1:
-            _count_last_two(m, j, order[-1], into_sink, in_arrows, ranges, chosen, e, counts, reqs)
-            return
+    if pos == len(order) - 2 and len(closed[0]) <= 1:
+        _count_last_two(m, j, order[-1], in_arrows, ranges, chosen, e, counts, reqs, *closed)
+        return
     for k in ranges[j]:
         if k < r:
             continue
@@ -213,20 +214,23 @@ def _count_from(pos, m, order, in_arrows, ranges, chosen, e, counts):
             continue
         for cand in subspaces_containing(d, k, p, reqs, pivots):
             chosen[j] = cand
-            _count_from(pos + 1, m, order, in_arrows, ranges, chosen, e, counts)
+            _count_from(pos + 1, m, order, in_arrows, ranges, chosen, e, counts, closed)
     chosen[j] = None
 
 
-def _count_last_two(m, j, sink, into_sink, in_arrows, ranges, chosen, e, counts, w_rows):
+def _count_last_two(m, j, sink, in_arrows, ranges, chosen, e, counts, w_rows, into_sink, b_cols, memo):
     """Add to counts the points at j = order[-2] and the sink in closed form.
 
-    Every out-arrow of j goes to the sink, and there is at most one, b.
-    With A the span at the sink of the images from the other sources and
-    f = M_b mod A : M_j -> M_sink / A (f = 0 without b), a choice V_j
-    leaves the sink dim A + dim f(V_j) = dim A + k - dim(V_j ∩ K) to
-    contain, K = ker f.  V_j contains W = W_j, so V_j / W is a
+    Every out-arrow of j goes to the sink, and there is at most one, b, with
+    columns b_cols.  With A the span at the sink of the images from the
+    other sources and f = M_b mod A : M_j -> M_sink / A (f = 0 without b),
+    a choice V_j leaves the sink dim A + dim f(V_j) = dim A + k - dim(V_j ∩ K)
+    to contain, K = ker f.  V_j contains W = W_j, so V_j / W is a
     (k - r)-subspace of M_j / W and meets (K + W) / W in dimension
-    i = dim(V_j ∩ K) - dim(W ∩ K); subspaces_meeting counts each i.
+    i = dim(V_j ∩ K) - dim(W ∩ K); subspaces_meeting counts each i.  The
+    ranges, d_j, d_sink and p are fixed for one walk, so the increments
+    per (k, k_sink) depend only on (r, dim A, rank f, dim(W ∩ K)): memo,
+    one point_counts call's dict, maps that tuple to them.
     """
     field, p = m.field, m.field.p
     d, r, d_sink = m.dims[j], len(w_rows), m.dims[sink]
@@ -234,33 +238,39 @@ def _count_last_two(m, j, sink, into_sink, in_arrows, ranges, chosen, e, counts,
     a = len(a_rows)
     rank_f = f_of_w = 0
     if into_sink:
-        b = into_sink[0]
-        rank_f = _rank(field, [*a_rows, *b.transpose().to_rows()]) - a
-        f_of_w = _rank(field, [*a_rows, *(b.apply(w) for w in w_rows)]) - a
+        rank_f = _rank(field, [*a_rows, *b_cols]) - a
+        f_of_w = _rank(field, [*a_rows, *(into_sink[0].apply(w) for w in w_rows)]) - a
     w_in_ker = r - f_of_w
-    meet_ambient = d - rank_f - w_in_ker  # dim (K + W) / W
-    for k in ranges[j]:
-        if k < r:
-            continue
-        e[j] = k
-        ways = [subspaces_meeting(d - r, k - r, meet_ambient, i, p) for i in range(k - r + 1)]
-        if sum(ways) != gaussian_binomial(d - r, k - r, p):
-            raise InternalCheckError(
-                f"closed-form count at vertex {j} gave {sum(ways)} subspaces of "
-                f"F_{p}^{d - r} of dimension {k - r}"
-            )
-        for i, n in enumerate(ways):
-            if not n:
+    key = (r, a, rank_f, w_in_ker)
+    increments = memo.get(key)
+    if increments is None:
+        increments = memo[key] = {}
+        meet_ambient = d - rank_f - w_in_ker  # dim (K + W) / W
+        for k in ranges[j]:
+            if k < r:
                 continue
-            r_sink = a + k - w_in_ker - i
-            for k_sink in ranges[sink]:
-                if k_sink >= r_sink:
-                    e[sink] = k_sink
-                    counts[tuple(e)] += n * gaussian_binomial(d_sink - r_sink, k_sink - r_sink, p)
+            ways = [subspaces_meeting(d - r, k - r, meet_ambient, i, p) for i in range(k - r + 1)]
+            if sum(ways) != gaussian_binomial(d - r, k - r, p):
+                raise InternalCheckError(
+                    f"closed-form count at vertex {j} gave {sum(ways)} subspaces of "
+                    f"F_{p}^{d - r} of dimension {k - r}"
+                )
+            for i, n in enumerate(ways):
+                if not n:
+                    continue
+                r_sink = a + k - w_in_ker - i
+                for k_sink in ranges[sink]:
+                    if k_sink >= r_sink:
+                        n_sink = n * gaussian_binomial(d_sink - r_sink, k_sink - r_sink, p)
+                        increments[k, k_sink] = increments.get((k, k_sink), 0) + n_sink
+    for (k, k_sink), n in increments.items():
+        e[j], e[sink] = k, k_sink
+        counts[tuple(e)] += n
 
 
-def _rank(field: Field, rows) -> int:
-    return rref(Matrix.from_rows(field, rows)).rank if rows else 0
+def _rank(field: Field, rows: list) -> int:
+    """The rank of rows, a fresh list that _rref_rows reduces in place."""
+    return len(_rref_rows(rows, len(rows[0]), field)) if rows else 0
 
 
 def all_dim_vectors(dims) -> list[tuple[int, ...]]:

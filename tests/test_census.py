@@ -639,6 +639,90 @@ def test_closed_form_count_checks_its_subspace_total(monkeypatch):
         point_counts(rep)
 
 
+def test_closed_form_check_survives_optimize():
+    # the subspace-total check must not be an assert, which python -O strips
+    import subprocess
+    import sys
+
+    script = (
+        "import importlib, sys, qgrass.cli\n"
+        "module = importlib.import_module('qgrass.census')\n"
+        "module.subspaces_meeting = lambda d, e, m, i, q: 1\n"
+        "sys.exit(qgrass.cli.main(['chi', '--builtin', 'a21-ex1', '--q', '2,3']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert "closed-form count at vertex" in proc.stderr
+
+
+def _rank_of(field, rows):
+    return rref(Matrix.from_rows(field, rows)).rank if rows else 0
+
+
+@pytest.mark.parametrize(
+    "rep",
+    [pytest.param(modp(name, 3)[1], id=name) for name in ("a21-ex1", "a21-ray:7")]
+    + [pytest.param(RANDOM_EXAMPLES[0], id="random-example-0")],
+)
+def test_closed_form_runs_once_per_rank_tuple(monkeypatch, rep):
+    # the last two vertices' closed form depends on a root node only through
+    # (r, dim A, rank f, dim(W ∩ K)), recomputed here from the chosen spaces
+    # with rref; subspaces_meeting runs once per i and k >= r of each
+    # distinct tuple, and the memo holds one entry per tuple.  In the random
+    # example two tuples differ only in dim A
+    module = importlib.import_module("qgrass.census")
+    real_last_two, real_meeting = module._count_last_two, module.subspaces_meeting
+    keys, memos, meeting = [], set(), []
+
+    def keyed(m, j, sink, in_arrows, ranges, chosen, e, counts, w_rows, into_sink, b_cols, memo):
+        field = m.field
+
+        def images(target, keep):
+            rows = [(mat, chosen[i].matrix) for i, mat in in_arrows[target] if keep(i)]
+            return [mat.apply(basis.row(t)) for mat, basis in rows for t in range(basis.rows)]
+
+        w, a_rows = images(j, lambda i: True), images(sink, lambda i: i != j)
+        r, a = _rank_of(field, w), _rank_of(field, a_rows)
+        rank_f = f_of_w = 0
+        if into_sink:
+            (b,) = into_sink
+            units = [[int(c == t) for t in range(b.cols)] for c in range(b.cols)]
+            rank_f = _rank_of(field, a_rows + [b.apply(u) for u in units]) - a
+            f_of_w = _rank_of(field, a_rows + [b.apply(v) for v in w]) - a
+        keys.append((r, a, rank_f, r - f_of_w))
+        memos.add(id(memo))
+        real_last_two(m, j, sink, in_arrows, ranges, chosen, e, counts, w_rows, into_sink, b_cols, memo)
+        assert len(memo) == len(set(keys))
+
+    def counted_meeting(*args):
+        meeting.append(args)
+        return real_meeting(*args)
+
+    expected = point_counts(rep)
+    monkeypatch.setattr(module, "_count_last_two", keyed)
+    monkeypatch.setattr(module, "subspaces_meeting", counted_meeting)
+    assert point_counts(rep) == expected
+    j = rep.quiver.vertex_index[rep.quiver.topological_order[-2]]
+    distinct = set(keys)
+    assert len(memos) == 1 and len(keys) > len(distinct), rep.dims
+    assert len(meeting) == sum(k - r + 1 for r, *_ in distinct for k in range(r, rep.dims[j] + 1)), rep.dims
+
+
+@pytest.mark.parametrize("name", BATTERY)
+def test_point_counts_are_independent_of_coordinates(name):
+    # P M P^-1 is isomorphic to M, so each slice has as many points; the
+    # twist reaches the closed form's rank tuples from dense spaces and images
+    for q in (3, 5):
+        _, rep = modp(name, q)
+        assert point_counts(twist(rep, 1)) == point_counts(rep), (name, q)
+
+
 def test_census_module_is_reached_through_import_module():
     # the package binds the function census over the submodule's name
     import qgrass
@@ -682,16 +766,25 @@ def test_point_counts_respect_duality():
 
 @pytest.mark.parametrize("name", [*BATTERY, pytest.param(BAND, id="a21-band-2")])
 def test_census_is_pointwise_dual(name):
-    # N -> N^perp, the annihilator at every vertex, maps Gr_e(M) onto
-    # Gr_(d-e)(DM), and Hom and Ext^1(N^perp, DM/N^perp) = (D(M/N), DN) are
-    # those of (N, M/N).  DM walks the topological order in reverse, so
-    # its arrows out of the root, and with them the images its replay
-    # reads from the walk's memo, are other arrows than M's
     if name == BAND:
         _, rep = parse_document(json.loads(BAND.read_text()))
         rep = reduce_mod_p(rep, 3)
     else:
         _, rep = modp(name, 3)
+    assert_census_is_pointwise_dual(rep)
+
+
+@on_random_reps
+def test_census_is_pointwise_dual_on_random_representations(m):
+    assert_census_is_pointwise_dual(m)
+
+
+def assert_census_is_pointwise_dual(rep):
+    # N -> N^perp, the annihilator at every vertex, maps Gr_e(M) onto
+    # Gr_(d-e)(DM), and Hom and Ext^1(N^perp, DM/N^perp) = (D(M/N), DN) are
+    # those of (N, M/N).  DM walks the topological order in reverse, so
+    # its arrows out of the root, and with them the images its replay
+    # reads from the walk's memo, are other arrows than M's
     field = rep.field
 
     def key(spaces):
@@ -703,9 +796,9 @@ def test_census_is_pointwise_dual(name):
         for x in entries:
             perp = [SubspaceBasis.from_matrix(field, kernel_basis(s.matrix)) for s in x.point.spaces]
             assert tuple(s.dim for s in perp) == tuple(d - k for d, k in zip(rep.dims, e))
-            assert mirror[key(perp)] == (x.hom_dim, x.ext_dim), (name, e)
+            assert mirror[key(perp)] == (x.hom_dim, x.ext_dim), (rep.dims, e)
             seen += 1
-    assert seen == len(mirror), name
+    assert seen == len(mirror), rep.dims
 
 
 PINNED_TUBES = {"a21-ray:3": (2, 3, 1, 1), BAND: (1, 2, 2, 0)}

@@ -11,7 +11,7 @@ from pathlib import Path
 TRACED = Path(__file__).resolve().parent.parent / "bench" / "traced.py"
 
 # names the tracer still lists but the program no longer has
-KNOWN_STALE = {"qgrass.census._subspaces_cached", "qgrass.cli.counting_polynomial"}
+KNOWN_STALE = {"qgrass.census._subspaces_cached", "qgrass.census.rref", "qgrass.cli.counting_polynomial"}
 
 
 def test_every_traced_name_resolves(monkeypatch):
