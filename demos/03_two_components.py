@@ -27,7 +27,7 @@ for q in (2, 3):
     print(f"q = {q}: {len(entries)} points = 2q + 1")
     for entry in entries:
         spaces = entry.point.spaces
-        rows = [spaces[1].matrix.to_rows(), spaces[2].matrix.to_rows()]
+        rows = [[list(row) for row in spaces[i].rows] for i in (1, 2)]
         marker = "  <- singular crossing" if entry.ext_dim else ""
         print(f"  V2 = {rows[0]}, V3 = {rows[1]}: tangent dim {entry.hom_dim}{marker}")
     hom = {x.point for x in entries if x.ext_dim == 0}

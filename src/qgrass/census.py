@@ -105,7 +105,9 @@ def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, images, c
         out.append(SubrepPoint(spaces=tuple(chosen), dim_vector=shared[tuple(e)]))
         return
     j = order[pos]
-    # at order[1] the images are a root space's, read at this one node: no memo
+    # at order[1] the images are a root space's, which the walk and the
+    # replay each compute afresh: a memo of them measured no steady wall
+    # gain and 1.1-1.2 MB more peak at check a21-ray:10 --q 3
     w, pivots = _required_span(m.field, in_arrows[j], chosen, images if pos > 1 else None)
     for k in ranges[j]:
         if k < len(w):
@@ -113,7 +115,7 @@ def _subreps_from(pos, m, order, in_arrows, ranges, chosen, e, shared, images, c
         e[j] = k
         if (j, k, w) not in children:
             listed = subspaces_containing(m.dims[j], k, m.field.p, w, pivots)
-            children[j, k, w] = [shared.setdefault((c.ambient_dim, c.matrix.entries), c) for c in listed]
+            children[j, k, w] = [shared.setdefault((c.ambient_dim, c.rows), c) for c in listed]
         for cand in children[j, k, w]:
             chosen[j] = cand
             _subreps_from(pos + 1, m, order, in_arrows, ranges, chosen, e, shared, images, children, out)
@@ -124,11 +126,11 @@ def _arrow_images(images, mat: Matrix, space: SubspaceBasis):
     """M_a = mat applied to N_i = space's rows, afresh for images = None, else
     memoized by (id(M_a), id(N_i)) as shared tuples, never reduced in place."""
     if images is None:
-        return [mat.apply(space.matrix.row(r)) for r in range(space.dim)]
+        return [mat.apply(row) for row in space.rows]
     key = (id(mat), id(space))
     rows = images.get(key)
     if rows is None:
-        rows = images[key] = tuple([tuple(mat.apply(space.matrix.row(r))) for r in range(space.dim)])
+        rows = images[key] = tuple([tuple(mat.apply(row)) for row in space.rows])
     return rows
 
 
@@ -157,9 +159,11 @@ def _walk_plan(m: Representation, e):
 
 
 def _required_span(field: Field, in_arrows, chosen, images) -> tuple[tuple, tuple]:
-    """RREF rows (a tuple of tuples) and pivot columns of W, the span of the
-    images of the chosen in-arrow sources, read through _arrow_images(images,
-    ...) into a fresh list that _rref_rows reduces by rebinding its slots.
+    """RREF rows and pivot columns of W, the span of the images of the
+    chosen in-arrow sources, read through _arrow_images(images, ...) into a
+    fresh list that _rref_rows reduces by rebinding its slots.  The rows are
+    a tuple of tuples, the format of SubspaceBasis.rows, so W and a space
+    share one row format.
 
     A subspace V_j satisfies every arrow into j exactly when it contains W.
     """
@@ -525,7 +529,8 @@ def brute_force_subreps(m: Representation, e) -> list[SubrepPoint]:
             if basis.dim != side:
                 continue
             if side != k:
-                basis = SubspaceBasis.from_matrix(m.field, kernel_basis(basis.matrix))
+                perp = kernel_basis(Matrix(m.field, side, d, [x for row in basis.rows for x in row]))
+                basis = SubspaceBasis.from_vectors(m.field, perp.to_rows(), d)
                 if basis.dim != k:
                     raise InternalCheckError(
                         f"annihilator of a {side}-space of F^{d} has dimension {basis.dim}"

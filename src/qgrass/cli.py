@@ -119,16 +119,15 @@ def _run_command(args) -> int:
                 results.append({"q": q, "rigid": True})
                 continue
             locus = transverse_combinatorial(rep_q, enumerate_subreps(rep_q))
-            rows = {}
             rays = [
-                {"t": t, "dims": list(point.dim_vector), "point": _point_obj(quiver, point, rows)}
+                {"t": t, "dims": list(point.dim_vector), "point": _point_obj(quiver, point)}
                 for t, point in enumerate(locus.rays[1:], 1)
             ]
             results.append(
                 {
                     "q": q,
                     "rigid": False,
-                    "quasi_socle": _point_obj(quiver, locus.rays[1], rows),
+                    "quasi_socle": _point_obj(quiver, locus.rays[1]),
                     "tube": _tube_obj(locus.tube),
                     "ray_submodules": rays,
                 }
@@ -211,14 +210,13 @@ def _parse_e(args, quiver):
 
 
 def _census_result(rep_q, q: int, e_sel) -> dict:
-    rows = {}
     per_e = [
         {
             "e": list(e),
             "total_points": len(entries),
             "transverse_points": sum(1 for x in entries if x.ext_dim == 0),
             "euler_form": euler_form(rep_q.quiver, e, tuple(d - x for d, x in zip(rep_q.dims, e))),
-            "entries": [_entry_obj(rep_q.quiver, x, rows) for x in entries],
+            "entries": [_entry_obj(rep_q.quiver, x) for x in entries],
         }
         for e, entries in census(rep_q, e_sel).items()
     ]
@@ -231,20 +229,16 @@ def _census_result(rep_q, q: int, e_sel) -> dict:
     }
 
 
-def _point_obj(quiver, point, rows: dict) -> dict:
-    """rows maps each space to its rows list, so the points that hold one
-    space (the walk interns equal spaces) share one list."""
-    spaces = {}
-    for v, basis in zip(quiver.vertices, point.spaces):
-        if basis not in rows:
-            rows[basis] = [[int(x) for x in basis.matrix.row(r)] for r in range(basis.dim)]
-        spaces[v] = rows[basis]
+def _point_obj(quiver, point) -> dict:
+    """Each space is written as its rows tuple, so the points that hold one
+    space (the walk interns equal spaces) share one tuple."""
+    spaces = {v: basis.rows for v, basis in zip(quiver.vertices, point.spaces)}
     return {"dim_vector": list(point.dim_vector), "spaces": spaces}
 
 
-def _entry_obj(quiver, entry, rows: dict) -> dict:
+def _entry_obj(quiver, entry) -> dict:
     return {
-        "point": _point_obj(quiver, entry.point, rows),
+        "point": _point_obj(quiver, entry.point),
         "hom_dim": entry.hom_dim,
         "ext_dim": entry.ext_dim,
         "transverse": entry.ext_dim == 0,
@@ -264,7 +258,7 @@ def _tube_obj(tube) -> dict:
 
 
 def _comparison_obj(quiver, comparison) -> dict:
-    per_field, rows = [], {}
+    per_field = []
     for fc in comparison.per_field:
         obj = {"q": fc.q, "rigid": fc.rigid, "verdict": fc.verdict}
         if fc.error:
@@ -288,7 +282,7 @@ def _comparison_obj(quiver, comparison) -> dict:
             {
                 "q": ce.q,
                 "e": list(ce.e),
-                "point": _point_obj(quiver, ce.point, rows),
+                "point": _point_obj(quiver, ce.point),
                 "ext_dim": ce.ext_dim,
                 "contains_lower": None if ce.comb_flags is None else ce.comb_flags[0],
                 "contained_in_upper": None if ce.comb_flags is None else ce.comb_flags[1],
@@ -310,10 +304,11 @@ def _emit(payload, fmt: str):
 def _dumps(obj) -> str:
     """json's text for sort_keys=True and indent=2 (str keys), but not json's pure-Python path.
 
-    A rows list (a list of int lists) that obj holds more than once is
-    written once per indent: its text is kept by its identity and indent,
-    which is sound because obj keeps every such list alive and unchanged
-    while it is written.  No other container's text is kept.
+    A tuple, which in a report is a space's rows (a tuple of int tuples,
+    as in SubspaceBasis.rows), is written once per indent however often
+    obj holds it: its text is kept by its identity and indent, which is
+    sound because obj keeps every such tuple alive while it is written.  No
+    other container's text is kept.
     """
     scalar, key_text = json.JSONEncoder(sort_keys=True).encode, json.encoder.encode_basestring_ascii
     chunks, shared = [], {}
@@ -343,7 +338,7 @@ def _dumps(obj) -> str:
                 write(item, inner)
                 put("," + inner)
             chunks[-1] = pad + "]"
-            if all(type(x) is list and all(type(y) is int for y in x) for x in o):
+            if type(o) is tuple:
                 shared[id(o), pad] = "".join(chunks[start:])
 
     write(obj, "\n")
@@ -355,14 +350,14 @@ def _render_table(payload, indent=0):
     if isinstance(payload, dict):
         for key in sorted(payload):
             value = payload[key]
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, tuple)):
                 yield f"{pad}{key}:"
                 yield from _render_table(value, indent + 1)
             else:
                 yield f"{pad}{key}: {value}"
-    elif isinstance(payload, list):
+    elif isinstance(payload, (list, tuple)):
         for item in payload:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 yield f"{pad}-"
                 yield from _render_table(item, indent + 1)
             else:

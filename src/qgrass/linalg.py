@@ -187,45 +187,44 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 
 class SubspaceBasis:
-    """A subspace of F^d in canonical coordinates: an RREF basis matrix.
+    """A subspace of F^d in canonical coordinates: its RREF basis rows.
 
-    The RREF matrix with full row rank is the unique canonical representative
-    of its row space, so equality of subspaces is equality of entries.
+    rows is a tuple of tuples of length d, the format of W's rows in
+    census._required_span.  The RREF with full row rank is the unique
+    canonical representative of its row space, so equality of subspaces is
+    equality of rows.
     """
 
-    __slots__ = ("field", "ambient_dim", "dim", "matrix", "pivots")
+    __slots__ = ("field", "ambient_dim", "dim", "rows", "pivots")
 
-    def __init__(self, field: Field, matrix: Matrix, pivots=None):
-        if matrix.field != field:
-            raise InputError("field mismatch in subspace basis")
+    def __init__(self, field: Field, ambient_dim: int, rows, pivots=None):
+        rows = tuple(map(tuple, rows))  # keeps tuple rows, shared by cells, as they are
+        if any(len(row) != ambient_dim for row in rows):
+            raise InputError(f"a basis row does not have length {ambient_dim}")
         if pivots is None:
-            pivots = _leading_columns(matrix)
+            pivots = _leading_columns(field, ambient_dim, rows)
         self.field = field
-        self.ambient_dim = matrix.cols
-        self.dim = matrix.rows
-        self.matrix = matrix
+        self.ambient_dim = ambient_dim
+        self.dim = len(rows)
+        self.rows = rows
         self.pivots = tuple(pivots)
 
     @classmethod
-    def from_matrix(cls, field: Field, matrix: Matrix) -> "SubspaceBasis":
-        """Canonicalize an arbitrary spanning matrix (zero rows dropped)."""
-        red, rank, pivots = rref(matrix)
-        return cls(field, Matrix(field, rank, matrix.cols, red.entries[: rank * matrix.cols]), pivots)
-
-    @classmethod
     def from_vectors(cls, field: Field, vectors, ambient_dim: int) -> "SubspaceBasis":
-        vectors = list(vectors)
-        if not vectors:
-            return cls.zero(field, ambient_dim)
-        return cls.from_matrix(field, Matrix.from_rows(field, vectors))
+        """Canonicalize the span of the vectors (zero rows dropped)."""
+        rows = [list(v) for v in vectors]
+        if any(len(v) != ambient_dim for v in rows):
+            raise InputError(f"a vector does not have length {ambient_dim}")
+        pivots = _rref_rows(rows, ambient_dim, field)
+        return cls(field, ambient_dim, rows[: len(pivots)], pivots)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
-        return cls(field, Matrix(field, 0, ambient_dim, []), ())
+        return cls(field, ambient_dim, (), ())
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "SubspaceBasis":
-        return cls(field, Matrix.identity(field, ambient_dim), tuple(range(ambient_dim)))
+        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).to_rows(), range(ambient_dim))
 
     def reduce_vector(self, v) -> list:
         """Residual of v after eliminating all pivot coordinates.
@@ -235,14 +234,11 @@ class SubspaceBasis:
         """
         if len(v) != self.ambient_dim:
             raise InputError(f"vector length {len(v)} does not match ambient {self.ambient_dim}")
-        f = self.field
-        p = f.p
+        p = self.field.p
         w = list(v)
-        m = self.matrix
-        for r, pc in enumerate(self.pivots):
+        for pc, row in zip(self.pivots, self.rows):
             coeff = w[pc]
             if coeff != 0:
-                row = m.entries[r * m.cols : (r + 1) * m.cols]
                 if p is not None:
                     w = [(x - coeff * y) % p for x, y in zip(w, row)]
                 else:
@@ -257,39 +253,33 @@ class SubspaceBasis:
             raise InputError("ambient dimension mismatch")
         if other.dim > self.dim:
             return False
-        return all(self.contains_vector(other.matrix.row(i)) for i in range(other.dim))
+        return all(self.contains_vector(row) for row in other.rows)
 
     def sort_key(self):
-        return (self.dim, self.pivots, self.matrix.entries)
+        return (self.dim, self.pivots, self.rows)
 
     def __eq__(self, other):
         return (
             isinstance(other, SubspaceBasis)
+            and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.matrix == other.matrix
+            and self.rows == other.rows
         )
 
     def __hash__(self):
-        return hash((self.ambient_dim, self.matrix))
+        return hash((self.field, self.ambient_dim, self.rows))
 
     def __repr__(self):
-        return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim}, rows={self.matrix.to_rows()})"
+        return f"SubspaceBasis(dim={self.dim}, ambient={self.ambient_dim}, rows={list(map(list, self.rows))})"
 
 
-def _leading_columns(matrix: Matrix) -> tuple:
-    """Pivot columns of a matrix that must already be canonical RREF."""
-    pivots = []
-    prev = -1
-    for i in range(matrix.rows):
-        row = matrix.row(i)
-        lead = next((j for j, x in enumerate(row) if x != 0), None)
-        if lead is None or lead <= prev or row[lead] != matrix.field.one:
-            raise InputError("basis matrix is not in reduced row echelon form")
-        for r in range(matrix.rows):
-            if r != i and matrix.at(r, lead) != 0:
-                raise InputError("basis matrix is not in reduced row echelon form")
-        pivots.append(lead)
-        prev = lead
+def _leading_columns(field: Field, ambient_dim: int, rows: tuple) -> tuple:
+    """Pivot columns of rows that must already be canonical RREF: rows of
+    full rank that Gauss-Jordan leaves as they are."""
+    reduced = list(rows)
+    pivots = _rref_rows(reduced, ambient_dim, field)
+    if len(pivots) != len(rows) or tuple(map(tuple, reduced)) != rows:
+        raise InputError("basis matrix is not in reduced row echelon form")
     return tuple(pivots)
 
 
@@ -297,27 +287,31 @@ def _leading_columns(matrix: Matrix) -> tuple:
 def _subspaces_cached(ambient_dim: int, dim: int, p: int) -> tuple:
     """Every dim-dimensional subspace of F_p^ambient_dim once, by Schubert
     cell: pivot sets in lexicographic order, free entries in odometer order
-    (last slot fastest).  The count is the Gaussian binomial."""
+    (last slot fastest).  The count is the Gaussian binomial.
+
+    Each cell's rows are the product of its rows' choices, and equal rows
+    are one tuple across all cells: Gr(2, 5) over F_5 holds 20,306 cells
+    with only 525 distinct rows."""
     field = Field.prime(p)
     zero, one = field.zero, field.one
+    rows_seen: dict = {}
     out = []
     for pivots in combinations(range(ambient_dim), dim):
         pivot_set = set(pivots)
-        # free slots: to the right of the row's pivot, avoiding pivot columns
-        free = [
-            (r, c)
-            for r in range(dim)
-            for c in range(pivots[r] + 1, ambient_dim)
-            if c not in pivot_set
-        ]
-        for values in product(range(p), repeat=len(free)):
-            rows = [[zero] * ambient_dim for _ in range(dim)]
-            for r, pc in enumerate(pivots):
-                rows[r][pc] = one
-            for (r, c), val in zip(free, values):
-                rows[r][c] = val
-            flat = [x for row in rows for x in row]
-            out.append(SubspaceBasis(field, Matrix(field, dim, ambient_dim, flat), pivots))
+        per_row = []
+        for pc in pivots:
+            # free slots: to the right of the row's pivot, avoiding pivot columns
+            free = [c for c in range(pc + 1, ambient_dim) if c not in pivot_set]
+            choices = []
+            for values in product(range(p), repeat=len(free)):
+                row = [zero] * ambient_dim
+                row[pc] = one
+                for c, val in zip(free, values):
+                    row[c] = val
+                row = tuple(row)
+                choices.append(rows_seen.setdefault(row, row))
+            per_row.append(choices)
+        out.extend(SubspaceBasis(field, ambient_dim, rows, pivots) for rows in product(*per_row))
     return tuple(out)
 
 
@@ -326,24 +320,25 @@ def subspaces_containing(ambient_dim: int, dim: int, p: int, w_rows, w_pivots) -
     SubspaceBasis.sort_key order, so the same list as the cells of
     _subspaces_cached(ambient_dim, dim, p) that contain W.
 
-    w_rows are W's RREF rows and w_pivots their pivot columns; dim must be
-    at least r = dim W.  The cells of Gr(dim - r, ambient_dim - r), put on
-    the non-pivot columns of W, are the subspaces of F_p^ambient_dim / W.
-    Each is lifted, and W's entries at its pivot columns are cleared, which
-    gives the RREF of its preimage without scanning the other cells.
+    w_rows are W's RREF rows, in the format of SubspaceBasis.rows (as
+    census._required_span returns them), and w_pivots their pivot columns;
+    dim must be at least r = dim W.  The cells of Gr(dim - r, ambient_dim -
+    r), put on the non-pivot columns of W, are the subspaces of
+    F_p^ambient_dim / W.  Each is lifted, and W's rows, with their entries
+    at its pivot columns cleared, are added to its rows: the RREF of its
+    preimage, found without scanning the other cells.
     """
     r = len(w_rows)
     if r == 0:
         return list(_subspaces_cached(ambient_dim, dim, p))
     field = Field.prime(p)
     free = [c for c in range(ambient_dim) if c not in w_pivots]
-    width = ambient_dim - r
     out = []
-    for cell in _subspaces_cached(width, dim - r, p):
+    for cell in _subspaces_cached(ambient_dim - r, dim - r, p):
         lifted = []
-        for i, pc in enumerate(cell.pivots):
+        for pc, cell_row in zip(cell.pivots, cell.rows):
             row = [0] * ambient_dim
-            for c, x in zip(free, cell.matrix.entries[i * width : (i + 1) * width]):
+            for c, x in zip(free, cell_row):
                 row[c] = x
             lifted.append((free[pc], row))
         by_pivot = dict(lifted)
@@ -354,8 +349,7 @@ def subspaces_containing(ambient_dim: int, dim: int, p: int, w_rows, w_pivots) -
                     w = [(x - g * y) % p for x, y in zip(w, u)]
             by_pivot[pc] = w
         pivots = sorted(by_pivot)
-        flat = [x for pc in pivots for x in by_pivot[pc]]
-        out.append(SubspaceBasis(field, Matrix(field, dim, ambient_dim, flat), pivots))
+        out.append(SubspaceBasis(field, ambient_dim, [by_pivot[pc] for pc in pivots], pivots))
     # a cleared row of W depends on the cell's free entries, so only the
     # pivot order of the cells carries over, not their odometer order
     out.sort(key=SubspaceBasis.sort_key)

@@ -131,8 +131,8 @@ def is_subrep(m: Representation, spaces) -> bool:
     for a in m.quiver.arrows:
         mat = m.matrices[a.name]
         src, tgt = spaces[idx[a.source]], spaces[idx[a.target]]
-        for r in range(src.dim):
-            if not tgt.contains_vector(mat.apply(src.matrix.row(r))):
+        for row in src.rows:
+            if not tgt.contains_vector(mat.apply(row)):
                 return False
     return True
 
@@ -165,7 +165,7 @@ def sub_quotient(m: Representation, spaces) -> tuple[Representation, Representat
         mat = m.matrices[a.name]
         si, sj = spaces[i], spaces[j]
 
-        images = [mat.apply(si.matrix.row(r)) for r in range(si.dim)]
+        images = [mat.apply(row) for row in si.rows]
         if any(any(sj.reduce_vector(v)) for v in images):
             raise InputError("the given spaces are not a subrepresentation")
         sub_entries = [v[t] for t in sj.pivots for v in images]

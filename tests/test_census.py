@@ -269,14 +269,14 @@ def test_walk_over_every_e_lists_only_children_that_contain_w(monkeypatch):
             for prefix in {tuple(pt.spaces[i] for i in before) for pt in points}:
                 chosen = dict(zip(before, prefix))
                 images = [
-                    rep.matrices[a.name].apply(chosen[idx[a.source]].matrix.row(r))
+                    rep.matrices[a.name].apply(row)
                     for a in quiver.arrows_into(v)
-                    for r in range(chosen[idx[a.source]].dim)
+                    for row in chosen[idx[a.source]].rows
                 ]
                 w = SubspaceBasis.from_vectors(rep.field, images, d)
                 for k in range(w.dim, d + 1):
                     expected[pos + 1] += gaussian_binomial(d - w.dim, k - w.dim, q)
-                    distinct.add((j, k, w.matrix.entries))
+                    distinct.add((j, k, w.rows))
         assert [visits.count(pos) for pos in range(quiver.n + 1)] == expected, (name, q)
         assert len(listed) == len(distinct) < sum(expected), (name, q)
 
@@ -349,7 +349,7 @@ def test_walk_and_replay_apply_each_arrow_once_per_space(monkeypatch):
         # the images are
         for key, rows in memos[1].items():
             mat, space = sources[key]
-            assert [list(v) for v in rows] == [real(mat, space.matrix.row(r)) for r in range(space.dim)], (name, q)
+            assert [list(v) for v in rows] == [real(mat, row) for row in space.rows], (name, q)
         memos.clear()
 
 
@@ -358,7 +358,7 @@ def test_points_of_one_walk_share_equal_spaces():
     for name, q in (("a21-ray:5", 3), ("kronecker-reg:3", 2)):
         _, rep = modp(name, q)
         spaces = [s for pt in enumerate_subreps(rep) for s in pt.spaces]
-        keys = {(s.ambient_dim, s.matrix.entries) for s in spaces}
+        keys = {(s.ambient_dim, s.rows) for s in spaces}
         assert len({id(s) for s in spaces}) == len(keys), (name, q)
 
 
@@ -684,8 +684,7 @@ def test_closed_form_runs_once_per_rank_tuple(monkeypatch, rep):
         field = m.field
 
         def images(target, keep):
-            rows = [(mat, chosen[i].matrix) for i, mat in in_arrows[target] if keep(i)]
-            return [mat.apply(basis.row(t)) for mat, basis in rows for t in range(basis.rows)]
+            return [mat.apply(row) for i, mat in in_arrows[target] if keep(i) for row in chosen[i].rows]
 
         w, a_rows = images(j, lambda i: True), images(sink, lambda i: i != j)
         r, a = _rank_of(field, w), _rank_of(field, a_rows)
@@ -788,13 +787,17 @@ def assert_census_is_pointwise_dual(rep):
     field = rep.field
 
     def key(spaces):
-        return tuple((s.ambient_dim, s.matrix.entries) for s in spaces)
+        return tuple((s.ambient_dim, s.rows) for s in spaces)
+
+    def annihilator(s):
+        kernel = kernel_basis(Matrix(field, s.dim, s.ambient_dim, sum(s.rows, ())))
+        return SubspaceBasis.from_vectors(field, kernel.to_rows(), s.ambient_dim)
 
     mirror = {key(x.point.spaces): (x.hom_dim, x.ext_dim) for xs in census(dual(rep)).values() for x in xs}
     seen = 0
     for e, entries in census(rep).items():
         for x in entries:
-            perp = [SubspaceBasis.from_matrix(field, kernel_basis(s.matrix)) for s in x.point.spaces]
+            perp = [annihilator(s) for s in x.point.spaces]
             assert tuple(s.dim for s in perp) == tuple(d - k for d, k in zip(rep.dims, e))
             assert mirror[key(perp)] == (x.hom_dim, x.ext_dim), (rep.dims, e)
             seen += 1

@@ -22,7 +22,6 @@ import pytest
 
 from qgrass import (
     QQ,
-    Matrix,
     SubrepPoint,
     SubspaceBasis,
     emit_builtin,
@@ -73,8 +72,8 @@ def coordinate_point(quiver, dims, chosen) -> SubrepPoint:
     spaces = []
     for v, d in zip(quiver.vertices, dims):
         units = sorted(i for w, i in chosen if w == v)
-        rows = [QQ.one if c == i else QQ.zero for i in units for c in range(d)]
-        spaces.append(SubspaceBasis(QQ, Matrix(QQ, len(units), d, rows)))
+        rows = [[QQ.one if c == i else QQ.zero for c in range(d)] for i in units]
+        spaces.append(SubspaceBasis(QQ, d, rows))
     return SubrepPoint(spaces=tuple(spaces), dim_vector=tuple(s.dim for s in spaces))
 
 

@@ -518,8 +518,7 @@ def test_cli_check_reports_counterexamples_in_sort_key_order(capsys, monkeypatch
     def forced_census(rep_q, e=None):
         report = real_census(rep_q, e)
         report[(2, 1)] = [
-            x._replace(ext_dim=forced_ext.get(
-                tuple(tuple(map(tuple, s.matrix.to_rows())) for s in x.point.spaces), x.ext_dim))
+            x._replace(ext_dim=forced_ext.get(tuple(s.rows for s in x.point.spaces), x.ext_dim))
             for x in report[(2, 1)]
         ]
         return report
@@ -589,9 +588,11 @@ JSON_VALUES = st.recursive(
     max_leaves=40,
 )
 
-# one rows list held more than once, as a census report holds each space's
-# rows at every point with that space; its text depends on its indent
+# one rows list held more than once; a census report holds each space's
+# rows, a tuple of int tuples, at every point with that space; the text of
+# either depends on its indent
 ROWS = [[1, 0, 2], [0, 1, 3]]
+ROWS_TUPLE = ((1, 0, 2), (0, 1, 3))
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
@@ -608,14 +609,17 @@ ROWS = [[1, 0, 2], [0, 1, 3]]
 @example([ROWS, ROWS])
 @example({"a": ROWS, "b": {"c": ROWS}})
 @example([ROWS, {"a": ROWS}, ROWS])
+@example([ROWS_TUPLE, ROWS_TUPLE])
+@example({"a": ROWS_TUPLE, "b": {"c": ROWS_TUPLE}})
+@example([ROWS_TUPLE, {"a": [ROWS_TUPLE]}, ROWS, ROWS_TUPLE])
 def test_emit_matches_stdlib_indent(value):
     # the report writer gives json.dumps(..., sort_keys=True, indent=2) byte for byte
     assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
 def test_census_report_builds_one_rows_list_per_space():
-    # every point that holds a space shares one rows list, which the writer
-    # then writes once per indent
+    # every point that holds a space shares its one rows tuple, which the
+    # writer then writes once per indent
     _, rep = builtin_rep("kronecker-reg:3")
     rep_q = reduce_mod_p(rep, 3)
     payload = _census_result(rep_q, 3, None)

@@ -204,12 +204,20 @@ def test_subspace_contains_basic():
 )
 def test_subspace_basis_rejects_a_matrix_not_in_rref(rows):
     with pytest.raises(InputError, match="reduced row echelon form"):
-        SubspaceBasis(F3, pmat(F3, rows))
+        SubspaceBasis(F3, 3, rows)
+    # a row whose length is not the ambient dimension, with or without pivots
+    short = [*rows[:-1], rows[-1][:2]]
+    with pytest.raises(InputError, match="length 3"):
+        SubspaceBasis(F3, 3, short)
+    with pytest.raises(InputError, match="length 3"):
+        SubspaceBasis(F3, 3, short, range(len(short)))
+    with pytest.raises(InputError, match="length 3"):
+        SubspaceBasis.from_vectors(F3, short, 3)
 
 
 def test_subspace_basis_reads_the_pivots_of_an_rref_matrix():
     rows = [[1, 2, 0, 1], [0, 0, 1, 2]]
-    basis = SubspaceBasis(F3, pmat(F3, rows))
+    basis = SubspaceBasis(F3, 4, rows)
     assert basis.pivots == (0, 2)
     assert basis == SubspaceBasis.from_vectors(F3, rows, 4)
 
@@ -233,7 +241,7 @@ def test_enumerate_lines_of_f2_squared():
     assert len(spaces) == 3
     assert set(spaces) == brute_force_subspaces(2, 1, 2)
     # deterministic order: pivot column 0 cells first, free entry odometer
-    assert [s.matrix.to_rows() for s in spaces] == [[[1, 0]], [[1, 1]], [[0, 1]]]
+    assert [s.rows for s in spaces] == [((1, 0),), ((1, 1),), ((0, 1),)]
 
 
 def test_enumerate_zero_dimensional_subspace():
@@ -261,10 +269,22 @@ def test_enumeration_yields_canonical_distinct_spaces():
         spaces = _subspaces_cached(d, e, p)
         # RREF invariant: rebuilding from the rows reproduces the basis
         for s in spaces:
-            assert SubspaceBasis.from_matrix(s.field, s.matrix) == s
+            assert SubspaceBasis.from_vectors(s.field, s.rows, s.ambient_dim) == s
         for i, a in enumerate(spaces):
             for b in spaces[i + 1 :]:
                 assert not (a.contains(b) and b.contains(a))
+
+
+def test_cells_are_sorted_distinct_counted_and_share_their_rows():
+    # the contract of the cell cache, whatever builds it
+    for p, max_d in ((2, 5), (3, 4)):
+        for d in range(max_d + 1):
+            for k in range(d + 1):
+                cells = _subspaces_cached(d, k, p)
+                assert list(cells) == sorted(cells, key=SubspaceBasis.sort_key), (p, d, k)
+                assert len(set(cells)) == len(cells) == gaussian_binomial(d, k, p), (p, d, k)
+                rows = [row for c in cells for row in c.rows]
+                assert len({id(row) for row in rows}) == len(set(rows)), (p, d, k)
 
 
 def test_subspaces_containing_is_the_filtered_enumeration():
@@ -277,7 +297,7 @@ def test_subspaces_containing_is_the_filtered_enumeration():
                 for w in _subspaces_cached(d, r, p):
                     for k in range(r, d + 1):
                         want = [c for c in _subspaces_cached(d, k, p) if c.contains(w)]
-                        got = subspaces_containing(d, k, p, w.matrix.to_rows(), w.pivots)
+                        got = subspaces_containing(d, k, p, w.rows, w.pivots)
                         assert got == want, (p, d, k, w)
                         assert [c.pivots for c in got] == [c.pivots for c in want]
                         cases += 1
@@ -296,7 +316,7 @@ def test_subspaces_meeting_counts_the_enumerated_cells():
                     for k in range(d + 1):
                         meets = [0] * (k + 1)
                         for cell in _subspaces_cached(d, k, p):
-                            rows = sub.matrix.to_rows() + cell.matrix.to_rows()
+                            rows = [*sub.rows, *cell.rows]
                             span = rref(Matrix.from_rows(field, rows)).rank if rows else 0
                             meets[k + m - span] += 1
                         for i in range(k + 1):

@@ -232,14 +232,14 @@ def test_sub_quotient_blocks_satisfy_their_defining_identities():
                 assert (s.rows, s.cols) == (nj.dim, ni.dim)
                 assert (qa.rows, qa.cols) == (len(free_j), len(free_i))
                 for c in range(ni.dim):
-                    image = [sum(mat.at(t, k) * ni.matrix.at(c, k) for k in range(di)) % q for t in range(dj)]
-                    combo = [sum(s.at(r, c) * nj.matrix.at(r, t) for r in range(nj.dim)) % q for t in range(dj)]
+                    image = [sum(mat.at(t, k) * ni.rows[c][k] for k in range(di)) % q for t in range(dj)]
+                    combo = [sum(s.at(r, c) * nj.rows[r][t] for r in range(nj.dim)) % q for t in range(dj)]
                     assert image == combo, (name, q, point.dim_vector, a.name, c)
                 for c, col in enumerate(free_i):
                     residual = [mat.at(t, col) for t in range(dj)]
                     for r, t in enumerate(free_j):
                         residual[t] -= qa.at(r, c)
-                    rows = nj.matrix.to_rows() + [[x % q for x in residual]]
+                    rows = [*nj.rows, [x % q for x in residual]]
                     span = SubspaceBasis.from_vectors(m.field, rows, dj)
                     assert span.dim == nj.dim, (name, q, point.dim_vector, a.name, col)
 
